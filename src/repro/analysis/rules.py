@@ -201,8 +201,8 @@ RULE_DOCS: dict[str, str] = {
     ),
     "SIM023": (
         "Invariant: parent-only accounting (perf counters, quantum stats,\n"
-        "timelines) is mutated only by the parent, which replicates the\n"
-        "serial run() accounting expression-for-expression.  A worker-side\n"
+        "timelines) is mutated only by the parent, whose ClusterSimulator.run()\n"
+        "loop owns all accounting (workers only step nodes).  A worker-side\n"
         "mutation would be lost at join *or* double-counted, either way\n"
         "breaking bit-identity with the serial driver.  Fix: ship raw\n"
         "values over the pipe and let the parent account."

@@ -20,9 +20,8 @@ SIM022  Fork-inherited simulation objects must not construct
         it covers the whole sim core, not just ``repro/shard/``.)
 SIM023  Parent-only accounting state (perf counters, quantum stats,
         timelines) must not be mutated in worker-executed functions —
-        the parent replicates the serial accounting expression-for-
-        expression, so a worker-side mutation is lost at join or
-        double-counted.
+        the parent runs the one quantum loop that owns all accounting,
+        so a worker-side mutation is lost at join or double-counted.
 ======= ===============================================================
 
 *Worker-executed* functions are the ``Process(target=...)`` targets plus
@@ -375,8 +374,8 @@ def _check_worker_accounting(module: _ShardModule) -> list[Finding]:
                     col=col,
                     message=(
                         f"worker-executed {name}() {what}: parent-only "
-                        "accounting must be mutated by the parent only (it "
-                        "replicates the serial accounting; worker mutations "
+                        "accounting must be mutated by the parent only (its "
+                        "quantum loop owns all accounting; worker mutations "
                         "are lost at join or double-counted)"
                     ),
                     snippet=_snippet(module.lines, line),

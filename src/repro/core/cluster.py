@@ -31,14 +31,19 @@ adaptive-quantum growth, and a single accounting update.  This keeps 1 us
 ground-truth runs (hundreds of thousands of quanta) tractable while being
 *observationally identical* to the event-by-event path — the skipped quanta
 provably contain no packets and no application events.
+
+The mediator's loop — :meth:`ClusterSimulator.run` — is stated exactly once
+here.  *How the nodes of one window are stepped* is the single thing that
+varies: a :class:`~repro.core.stepping.Stepper` picked at the top of the
+loop (the scalar reference, the vectorized lazy-clock/drain stepper, or
+:mod:`repro.shard`'s remote one), which reports per-node facts and leaves
+every piece of arithmetic and accounting to the loop.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +52,14 @@ from repro.checkpoint.config import CheckpointConfig
 from repro.core.barrier import BarrierModel
 from repro.core.quantum import QuantumPolicy, QuantumStats
 from repro.core.stats import BucketTimeline, HostCostBreakdown
+from repro.core.stepping import (
+    Emission,
+    NodeClock,
+    Rates,
+    ScalarStepper,
+    Stepper,
+    VectorStepper,
+)
 from repro.engine.backend import queue_class, resolve_backend
 from repro.engine.rng import RngStreams
 from repro.engine.units import SECOND, SimTime, format_time
@@ -332,57 +345,27 @@ class _JitterFeed:
         return matrix
 
 
-class _NodeClock:
-    """The piecewise-affine simulated-time/host-time map of one node.
+@dataclass
+class _LoopState:
+    """The quantum loop's accumulators — exactly what a snapshot stores
+    as its "loop" payload and :meth:`ClusterSimulator.run` resumes from."""
 
-    Within a quantum the map is a sequence of segments, each with a rate in
-    simulated nanoseconds per host second.  A new segment starts whenever
-    the node's activity flips (application blocks or wakes); the driver
-    resets the map at every barrier release.
-    """
+    q_state: float
+    timeline: Optional[BucketTimeline]
+    now: SimTime = 0
+    host: float = 0.0
+    quantum_stats: QuantumStats = field(default_factory=QuantumStats)
+    breakdown: HostCostBreakdown = field(default_factory=HostCostBreakdown)
 
-    __slots__ = ("seg_sim", "seg_host", "seg_rate", "busy_rate", "idle_rate")
-
-    def __init__(self) -> None:
-        self.seg_sim: SimTime = 0
-        self.seg_host: float = 0.0
-        self.seg_rate: float = 1.0
-        self.busy_rate: float = 1.0
-        self.idle_rate: float = 1.0
-
-    def reset(
-        self,
-        sim_start: SimTime,
-        host_start: float,
-        busy_slowdown: float,
-        idle_slowdown: float,
-        activity: str,
+    def charge(
+        self, start: SimTime, end: SimTime, node_cost: float, barrier_cost: float
     ) -> None:
-        self.busy_rate = 1e9 / busy_slowdown
-        self.idle_rate = 1e9 / idle_slowdown
-        self.seg_sim = sim_start
-        self.seg_host = host_start
-        self.seg_rate = self.busy_rate if activity == BUSY else self.idle_rate
-
-    def transition(self, sim_time: SimTime, activity: str) -> None:
-        """Start a new segment at *sim_time* with the rate for *activity*."""
-        self.seg_host = self.host_of(sim_time)
-        self.seg_sim = sim_time
-        self.seg_rate = self.busy_rate if activity == BUSY else self.idle_rate
-
-    def host_of(self, sim_time: SimTime) -> float:
-        """Host instant at which this node reaches *sim_time* (>= segment)."""
-        return self.seg_host + (sim_time - self.seg_sim) / self.seg_rate
-
-    def position_at(self, host_time: float, window: tuple[SimTime, SimTime]) -> SimTime:
-        """Simulated position at *host_time*, clamped to the quantum."""
-        start, end = window
-        position = self.seg_sim + round(self.seg_rate * (host_time - self.seg_host))
-        return min(max(position, start), end)
-
-    def finish_host(self, quantum_end: SimTime) -> float:
-        """Host instant at which this node reaches the barrier."""
-        return self.host_of(quantum_end)
+        """Account the host cost of simulating ``[start, end)``."""
+        cost = node_cost + barrier_cost
+        self.host += cost
+        self.breakdown.add(node_cost, barrier_cost)
+        if self.timeline is not None and cost > 0:
+            self.timeline.add_span(start, end, cost)
 
 
 class ClusterSimulator:
@@ -450,7 +433,7 @@ class ClusterSimulator:
             native_queue = queue_class("native")
             for node in nodes:
                 node.queue = native_queue()
-        self._clocks = [_NodeClock() for _ in nodes]
+        self._clocks = [NodeClock() for _ in nodes]
         for node in nodes:
             node.emit_hook = self._on_emit
             node.activity_hook = self._on_activity_change
@@ -471,10 +454,16 @@ class ClusterSimulator:
         #: Loop state installed by :func:`repro.checkpoint.restore_snapshot`;
         #: :meth:`run` consumes it to continue instead of starting at zero.
         self._resume: Optional[dict[str, Any]] = None
+        #: How :meth:`run` steps the nodes of a window.  None lets it pick
+        #: the scalar or vectorized stepper; :mod:`repro.shard` installs
+        #: its remote one before calling :meth:`run`.
+        self._stepper: Optional[Stepper] = None
         self._window: tuple[SimTime, SimTime] = (0, 0)
-        self._host_window_start: float = 0.0
         self._in_window = False
         self._dirty: list[int] = []
+        #: Non-None while a drain window is collecting emissions; see
+        #: :meth:`repro.core.stepping.VectorStepper.drain`.
+        self._drain_pending: Optional[list[Emission]] = None
         #: Hot-path instrumentation; purely observational (never part of
         #: :class:`RunResult`, so scalar and vectorized results compare
         #: equal field-for-field).
@@ -483,21 +472,9 @@ class ClusterSimulator:
             self.config.vectorized, len(nodes)
         )
         self._sampling = self.config.sampling is not None
-        # Vectorized-stepper state.  Per-quantum slowdowns live in numpy
-        # arrays (plus plain-float lists for scalar access); a node's
-        # _NodeClock is materialized from them lazily, the first time the
-        # window actually needs it — event-free nodes never pay for one.
+        # Batched-jitter state: per-quantum slowdowns are drawn for all
+        # nodes at once from the feed and combined over these arrays.
         self._feed = _JitterFeed(self.host_models)
-        #: Cached bound methods: the run loop peeks every node's queue
-        #: between quanta, and the attribute chain is measurable there.
-        self._peeks = [node.queue.peek_time for node in nodes]
-        #: The conservative bound T of the network (``Q <= T`` guarantees
-        #: every in-window emission is due at or beyond the barrier) —
-        #: eligibility test for the ground-truth window drain.
-        self._min_latency = controller.latency_model.min_latency()
-        #: Non-None while a drain window is collecting emissions; see
-        #: :meth:`_run_window_drain`.
-        self._drain_pending: Optional[list[tuple[float, int, int, Packet]]] = None
         self._node_factors = np.array(
             [model.node_factor for model in self.host_models]
         )
@@ -508,13 +485,6 @@ class ClusterSimulator:
             len(nodes), self.config.host_params.idle_slowdown
         )
         self._busy_mask = np.array([node.activity == BUSY for node in nodes])
-        self._epoch = 0
-        self._epochs = [0] * len(nodes)
-        self._touched: list[int] = []
-        self._q_busy_rates: list[float] = []
-        self._q_idle_rates: list[float] = []
-        self._q_busy_rates_arr = np.empty(0)
-        self._q_idle_rates_arr = np.empty(0)
 
     def _validate_faults(self, plan: FaultPlan) -> FaultPlan:
         """Reject fault plans this cluster cannot execute to completion."""
@@ -550,10 +520,11 @@ class ClusterSimulator:
         return self._window
 
     def node_position_at(self, node: int, host_time: float) -> SimTime:
-        if self._vectorized:
-            # The delivery policy asks for destination positions mid-window;
-            # give the destination a real clock if it was event-free so far.
-            self._materialize(node)
+        # The delivery policy asks for destination positions mid-window;
+        # a destination that was event-free so far may not have a clock yet.
+        stepper = self._stepper
+        assert stepper is not None
+        stepper.touch(node)
         return self._clocks[node].position_at(host_time, self._window)
 
     # ------------------------------------------------------------------ #
@@ -563,7 +534,7 @@ class ClusterSimulator:
     def _on_emit(self, node: SimulatedNode, packet: Packet) -> None:
         pending = self._drain_pending
         if pending is not None:
-            # Drain window: defer submission; the drain sorts the batch
+            # Drain window: defer submission; the loop sorts the batch
             # into global host-time order before routing (every frame is
             # provably held, so nothing downstream needs it mid-window).
             node_id = node.node_id
@@ -588,225 +559,178 @@ class ClusterSimulator:
     ) -> None:
         node_id = node.node_id
         if self._vectorized:
-            # Maintained continuously so the vectorized window setup and
-            # fast-forward read every node's activity without an O(N) scan.
+            # Maintained continuously so the window cost and fast-forward
+            # read every node's activity without an O(N) scan.
             self._busy_mask[node_id] = activity == BUSY
         if self._in_window:
             # A node can only flip activity while handling one of its own
-            # events, and handling is always preceded by materialization
-            # (drain/heap entry or a delivery-position query), so the clock
-            # is guaranteed fresh here (invariant covered by the property
+            # events, and handling is always preceded by a touch (drain/heap
+            # entry or a delivery-position query), so the clock is
+            # guaranteed fresh here (invariant covered by the property
             # tests comparing against the always-reset scalar path).
             self._clocks[node_id].transition(sim_time, activity)
 
     # ------------------------------------------------------------------ #
-    # Main loop
+    # The quantum loop (the paper's Figure 1 / Algorithm 1)
     # ------------------------------------------------------------------ #
 
     def run(self) -> RunResult:
         config = self.config
-        nodes = self.nodes
         controller = self.controller
         policy = self.policy
         sanitizer = self.sanitizer
         injector = self.injector
         collector = self.collector
-        num_nodes = len(nodes)
-        barrier_cost = config.barrier.overhead(num_nodes)
-        vectorized = self._vectorized
         perf = self.perf
+        num_nodes = len(self.nodes)
+        barrier_cost = config.barrier.overhead(num_nodes)
 
-        resume = self._resume
-        if resume is not None:
+        stepper = self._stepper
+        if stepper is None:
+            if self._vectorized:
+                stepper = VectorStepper(self)
+            else:
+                stepper = ScalarStepper(self)
+            self._stepper = stepper
+        if self._resume is not None:
             # A restored snapshot re-enters the loop mid-run with the
-            # exact locals the capture point saw (perf counters, queues,
-            # RNG positions were restored onto ``self`` already).
+            # exact accumulators the capture point saw (perf counters,
+            # queues, RNG positions were restored onto ``self`` already).
+            state = _LoopState(**self._resume)
             self._resume = None
-            now: SimTime = resume["now"]
-            host: float = resume["host"]
-            q_state = resume["q_state"]
-            quantum_stats = resume["quantum_stats"]
-            breakdown = resume["breakdown"]
-            timeline = resume["timeline"]
         else:
-            now = 0
-            host = 0.0
-            q_state = policy.initial()
-            quantum_stats = QuantumStats()
-            breakdown = HostCostBreakdown()
-            timeline = (
-                BucketTimeline(config.timeline_bucket)
-                if config.timeline_bucket is not None
-                else None
+            state = _LoopState(
+                q_state=policy.initial(),
+                timeline=(
+                    BucketTimeline(config.timeline_bucket)
+                    if config.timeline_bucket is not None
+                    else None
+                ),
             )
         supervision = self.supervision
         checkpoint = config.checkpoint
         # Cadence anchors: measured from the entry state so a resumed run
         # does not immediately re-snapshot what it just restored.
         cp_quanta = perf.event_quanta + perf.ff_quanta
-        cp_sim = now
+        cp_sim = state.now
 
-        # The drain path reorders only *unobserved* work (packet creation
-        # order, hence packet ids, differs from the interleaved paths), so
-        # traced runs keep the interleaved stepper, and faulted runs keep
-        # it too so the injector consumes its verdict stream at the same
-        # call sites.  Results are bit-identical either way.
-        drain_ok = vectorized and collector is None and injector is None
-        min_latency = self._min_latency
-        if vectorized:
-            peeks = self._peeks
-            # Maintained incrementally: a node's queue only changes when it
-            # is stepped in a window (always in self._touched) or when a
-            # held frame is released to it (updated at the release site) —
-            # fast-forward spans touch no queues at all.
-            times: Optional[list[Optional[SimTime]]] = [peek() for peek in peeks]
-        else:
-            times = None
-
-        while not self._done():
+        done = controller.pending_count() == 0 and stepper.quiescent()
+        while not done:
+            # Quantum boundary: every node stands at ``now`` and nothing is
+            # in flight but the controller's held frames — the one point
+            # where snapshots are taken and the watchdog is fed.
+            now = state.now
+            if checkpoint is not None:
+                quanta_done = perf.event_quanta + perf.ff_quanta
+                if (
+                    checkpoint.every_quanta is not None
+                    and quanta_done - cp_quanta >= checkpoint.every_quanta
+                ) or (
+                    checkpoint.every_sim_time is not None
+                    and now - cp_sim >= checkpoint.every_sim_time
+                ):
+                    self._emit_checkpoint(state)
+                    cp_quanta = quanta_done
+                    cp_sim = now
             if supervision is not None:
-                # One call per quantum: the watchdog records progress and
-                # raises RunTimeout past its wall-clock deadline.
-                supervision(now, policy.window(q_state))
+                # The watchdog records progress and raises RunTimeout past
+                # its wall-clock deadline.
+                supervision(now, policy.window(state.q_state))
             if now >= config.sim_time_limit:
-                return self._result(now, host, False, breakdown, quantum_stats, timeline)
+                return self._result(state, False, stepper)
 
-            if vectorized:
-                assert times is not None
-                horizon = controller.next_held_time()
-                for t in times:
-                    if t is not None and (horizon is None or t < horizon):
-                        horizon = t
-            else:
-                horizon = self._next_interesting_time()
+            horizon = controller.next_held_time()
+            local = stepper.next_event_time()
+            if local is not None and (horizon is None or local < horizon):
+                horizon = local
             if horizon is None:
-                raise DeadlockError(self._deadlock_report(now))
-
-            if config.fast_forward:
-                window = policy.window(q_state)
-                if horizon - now >= config.fast_forward_min_quanta * window:
-                    forward = (
-                        self._fast_forward_vec if vectorized else self._fast_forward
-                    )
-                    now, host, q_state = forward(
-                        now, host, q_state, min(horizon, config.sim_time_limit),
-                        barrier_cost, quantum_stats, breakdown, timeline,
-                    )
+                blocked = ", ".join(stepper.blocked_names()) or "none"
+                raise DeadlockError(
+                    f"deadlock at {format_time(now)}: no pending events or "
+                    "packets, but applications are still waiting "
+                    f"(blocked: {blocked})"
+                )
+            if (
+                config.fast_forward
+                and horizon - now
+                >= config.fast_forward_min_quanta * policy.window(state.q_state)
+            ):
+                self._fast_forward(
+                    state, min(horizon, config.sim_time_limit), barrier_cost,
+                    stepper.batched,
+                )
 
             # One event-by-event quantum.
-            window = policy.window(q_state)
-            start, end = now, now + window
+            window = policy.window(state.q_state)
+            start = state.now
+            end = start + window
+            host = state.host
             self._window = (start, end)
             if sanitizer is not None:
                 sanitizer.on_quantum_start(start, end)
             if collector is not None:
                 collector.quantum_begin(start, end)
-            self._host_window_start = host
-            if vectorized:
-                self._prepare_window_vec(start, end, host)
-            else:
-                for node, clock, model in zip(nodes, self._clocks, self.host_models):
-                    busy_slowdown, idle_slowdown = model.slowdown_pair(start)
-                    if injector is not None:
-                        stall = injector.stall_factor(node.node_id, start, end)
-                        if stall != 1.0:
-                            busy_slowdown *= stall
-                            idle_slowdown *= stall
-                    clock.reset(start, host, busy_slowdown, idle_slowdown, node.activity)
+            rates = stepper.open(start, end, host)
             if injector is not None:
                 injector.on_quantum(start, end)
-
             # Only ask the controller to scan its held-frame heap when the
             # earliest held frame is actually due — for most quanta the call
             # would return an empty list (the hot path of long runs).
             held = controller.next_held_time()
             if held is not None and held < end:
-                for decision in controller.release_due(start, end):
-                    dst = decision.packet.dst
-                    nodes[dst].deliver(decision.packet, decision.deliver_time)
-                    if times is not None:
-                        times[dst] = nodes[dst].peek_time()
+                stepper.deliver(
+                    (decision.packet, decision.deliver_time)
+                    for decision in controller.release_due(start, end)
+                )
 
             self._in_window = True
-            drained = False
-            if vectorized:
-                assert times is not None
-                if drain_ok and window <= min_latency:
-                    self._run_window_drain(end, times)
-                    drained = True
-                else:
-                    self._run_window_vec(end, times)
-            else:
-                self._run_window(end)
+            handled, emissions, stepped, stepped_finish = stepper.step(end)
             self._in_window = False
-
+            if emissions:
+                # A drained window's frames, all provably held: sorted into
+                # the order an interleaved window submits them in.
+                controller.submit_held_batch(sorted(emissions))
+            perf.events += handled
             perf.event_quanta += 1
-            if vectorized:
-                stepped = len(self._touched)
-                perf.stepped_node_quanta += stepped
-                if stepped < num_nodes:
-                    # Subset fast-forward: the event-free nodes of this
-                    # window were advanced arithmetically.
-                    perf.skipped_node_quanta += num_nodes - stepped
-                    perf.subset_windows += 1
-            else:
-                perf.stepped_node_quanta += num_nodes
+            perf.stepped_node_quanta += len(stepped)
+            if len(stepped) < num_nodes:
+                # Subset fast-forward: the event-free nodes of this window
+                # are costed arithmetically, never given a clock.
+                perf.skipped_node_quanta += num_nodes - len(stepped)
+                perf.subset_windows += 1
 
             np_count = controller.end_quantum()
             if sanitizer is not None:
-                if vectorized:
-                    # The sanitizer audits every clock's segment anchor;
-                    # give event-free nodes their (value-identical) clocks.
-                    self._materialize_all()
+                stepper.settle()
                 sanitizer.on_quantum_end(start, end, np_count)
-            if self._done():
-                if vectorized:
-                    self._materialize_all()
+            done = controller.pending_count() == 0 and stepper.quiescent()
+            if done:
                 # The run completed inside this quantum: the simulation stops
                 # the moment the last application event is processed, so the
                 # final (partial) quantum costs host time only up to that
                 # instant and pays no closing barrier.
-                finishes = [
-                    min(max(t, start), end)
-                    for t in (node.app_finish_time for node in nodes)
-                    if t is not None
-                ]
-                last = max(finishes) if finishes else start
-                node_cost = max(
-                    clock.host_of(min(max(t, start), end))
-                    for clock, t in zip(
-                        self._clocks,
-                        (node.app_finish_time or start for node in nodes),
-                    )
-                ) - host
-                host += node_cost
-                breakdown.add(node_cost, 0.0)
+                last, finish_host = stepper.final_facts(start, end)
+                last = max(last, start + 1)
+                node_cost = finish_host - host
+                state.charge(start, last, node_cost, 0.0)
                 # Stats record the policy's nominal window (the truncation
                 # is a termination artefact, not a policy decision).
-                quantum_stats.record(window)
-                if timeline is not None and node_cost > 0:
-                    timeline.add_span(start, max(last, start + 1), node_cost)
+                state.quantum_stats.record(window)
                 if collector is not None:
                     collector.quantum_end(
                         start, end, np_count, "final", window, node_cost, 0.0
                     )
-                now = max(last, start + 1)
+                state.now = last
                 break
-            if vectorized:
-                node_cost = self._window_cost_vec(start, end, host)
-            else:
-                node_cost = max(clock.finish_host(end) for clock in self._clocks) - host
-            host += node_cost + barrier_cost
-            breakdown.add(node_cost, barrier_cost)
-            quantum_stats.record(window)
-            if timeline is not None:
-                timeline.add_span(start, end, node_cost + barrier_cost)
-            next_state = policy.next(q_state, np_count)
+
+            node_cost = self._window_cost(start, end, host, stepped, stepped_finish, rates)
+            state.charge(start, end, node_cost, barrier_cost)
+            state.quantum_stats.record(window)
+            next_state = policy.next(state.q_state, np_count)
             if collector is not None:
                 if collector.config.barriers:
-                    if vectorized:
-                        self._materialize_all()
-                    finishes = [clock.finish_host(end) for clock in self._clocks]
+                    stepper.settle()
+                    finishes = [clock.host_of(end) for clock in self._clocks]
                     slowest = max(finishes)
                     for node_id, finish in enumerate(finishes):
                         collector.barrier_wait(node_id, end, slowest - finish)
@@ -821,42 +745,12 @@ class ClusterSimulator:
                     start, end, np_count, decision, next_window,
                     node_cost, barrier_cost,
                 )
-            q_state = next_state
-            if vectorized and not drained:
-                # Drain windows refresh ``times`` in place; interleaved
-                # windows re-peek every stepped node here.  Materialized-
-                # but-unstepped nodes (sanitizer audits) have untouched
-                # queues, so their stale peeks are still exact.
-                assert times is not None
-                for node_id in self._touched:
-                    times[node_id] = peeks[node_id]()
-            now = end
-            if checkpoint is not None:
-                quanta_done = perf.event_quanta + perf.ff_quanta
-                if (
-                    checkpoint.every_quanta is not None
-                    and quanta_done - cp_quanta >= checkpoint.every_quanta
-                ) or (
-                    checkpoint.every_sim_time is not None
-                    and now - cp_sim >= checkpoint.every_sim_time
-                ):
-                    self._emit_checkpoint(
-                        now, host, q_state, quantum_stats, breakdown, timeline
-                    )
-                    cp_quanta = quanta_done
-                    cp_sim = now
+            state.q_state = next_state
+            state.now = end
 
-        return self._result(now, host, True, breakdown, quantum_stats, timeline)
+        return self._result(state, True, stepper)
 
-    def _emit_checkpoint(
-        self,
-        now: SimTime,
-        host: float,
-        q_state: float,
-        quantum_stats: QuantumStats,
-        breakdown: HostCostBreakdown,
-        timeline: Optional[BucketTimeline],
-    ) -> None:
+    def _emit_checkpoint(self, state: _LoopState) -> None:
         """Capture the boundary state and hand it to the snapshot sink.
 
         The capture/store machinery is imported lazily: plain runs never
@@ -865,15 +759,7 @@ class ClusterSimulator:
         """
         from repro.checkpoint.snapshot import capture_snapshot
 
-        snapshot = capture_snapshot(
-            self,
-            now=now,
-            host=host,
-            q_state=q_state,
-            quantum_stats=quantum_stats,
-            breakdown=breakdown,
-            timeline=timeline,
-        )
+        snapshot = capture_snapshot(self, **vars(state))
         if self.checkpoint_sink is None:
             from repro.checkpoint.store import CheckpointStore
 
@@ -888,82 +774,15 @@ class ClusterSimulator:
             self.checkpoint_sink = sink
         self.checkpoint_sink(snapshot)
 
-    def _run_window(self, end: SimTime) -> None:
-        """Interleave node events in host-time order until the barrier.
-
-        A lazy-invalidation heap orders the nodes' next events by host time
-        (ties by node id, matching a linear scan).  A node's entry is stale
-        whenever its queue head or its clock may have changed — after it
-        handles an event (which may also flip its activity), or after a
-        delivery lands in its queue — tracked with per-node sequence
-        numbers bumped on every push.
-
-        When only one node has a live entry (common at small clusters and
-        in compute-dominated phases), host-time interleaving cannot change
-        the order — ordering only matters *between* nodes — so the node's
-        events are drained directly, skipping the per-event ``host_of``
-        key computation and heap churn, until a delivery touches any node.
-        """
-        nodes = self.nodes
-        clocks = self._clocks
-        sequences = [0] * len(nodes)
-        heap: list[tuple[float, int, int]] = []
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        def push(node_id: int) -> None:
-            event_time = nodes[node_id].peek_time()
-            sequences[node_id] += 1
-            if event_time is None or event_time >= end:
-                return
-            key = clocks[node_id].host_of(event_time)
-            heappush(heap, (key, node_id, sequences[node_id]))
-
-        for node_id in range(len(nodes)):
-            push(node_id)
-        dirty = self._dirty
-        handled = 0
-        while heap:
-            _, node_id, entry_seq = heappop(heap)
-            if entry_seq != sequences[node_id]:
-                continue
-            dirty.clear()
-            node = nodes[node_id]
-            node.pop_and_handle()
-            handled += 1
-            if not heap:
-                # Single-active-node fast path (see docstring).
-                peek = node.peek_time
-                handle = node.pop_and_handle
-                while not dirty:
-                    event_time = peek()
-                    if event_time is None or event_time >= end:
-                        break
-                    handle()
-                    handled += 1
-            push(node_id)
-            for touched in dirty:
-                if touched != node_id:
-                    push(touched)
-        dirty.clear()
-        self.perf.events += handled
-
-    # ------------------------------------------------------------------ #
-    # Vectorized stepper
-    # ------------------------------------------------------------------ #
-
-    def _prepare_window_vec(self, start: SimTime, end: SimTime, host: float) -> None:
-        """Draw and combine every node's per-quantum slowdowns at once.
+    def _window_rates(self, start: SimTime, end: SimTime) -> Rates:
+        """Draw and combine every node's slowdowns for one quantum at once.
 
         Computes exactly what N ``slowdown_pair`` calls (plus the stall
-        scaling) would, but elementwise over arrays: same jitter stream
-        positions, same operation order per element, bit-identical values.
-        Clocks are *not* reset here — :meth:`_materialize` builds a node's
-        clock lazily the first time the window needs it, so event-free
-        nodes advance arithmetically (the subset fast-forward).
+        scaling) and the divisions in ``NodeClock.reset``'s arguments
+        would, but elementwise over arrays: same jitter stream positions,
+        same operation order per element, bit-identical doubles.
         """
-        jitter = self._feed.row()
-        tmp = jitter * self._node_factors
+        tmp = self._feed.row() * self._node_factors
         if self._sampling:
             bases = np.empty(len(self.host_models))
             for index, model in enumerate(self.host_models):
@@ -979,456 +798,148 @@ class ClusterSimulator:
                 if stall != 1.0:
                     busy[node_id] *= stall
                     idle[node_id] *= stall
-        # Convert slowdowns to clock rates once, elementwise (the scalar
-        # path divides per node inside ``reset``; same operands, same IEEE
-        # division, identical doubles).  Plain-float copies for scalar
-        # access (materialization): one bulk conversion beats N
-        # numpy-scalar reads when most nodes are active.
-        busy_rates = 1e9 / busy
-        idle_rates = 1e9 / idle
-        self._q_busy_rates_arr = busy_rates
-        self._q_idle_rates_arr = idle_rates
-        self._q_busy_rates = busy_rates.tolist()
-        self._q_idle_rates = idle_rates.tolist()
-        self._epoch += 1
-        self._touched.clear()
+        return 1e9 / busy, 1e9 / idle
 
-    def _materialize(self, node_id: int) -> None:
-        """Give *node_id* a real per-window clock (idempotent per window).
-
-        The reset is value-identical to the scalar path's unconditional
-        reset at window start: untouched nodes cannot have flipped activity
-        (flips only happen while handling events, which materializes
-        first), so ``node.activity`` still holds the window-start value.
-        """
-        if self._epochs[node_id] == self._epoch:
-            return
-        self._epochs[node_id] = self._epoch
-        self._touched.append(node_id)
-        # Inlined ``clock.reset`` with the division already done in bulk by
-        # ``_prepare_window_vec`` — value-identical to the scalar reset.
-        clock = self._clocks[node_id]
-        clock.busy_rate = busy_rate = self._q_busy_rates[node_id]
-        clock.idle_rate = idle_rate = self._q_idle_rates[node_id]
-        clock.seg_sim = self._window[0]
-        clock.seg_host = self._host_window_start
-        clock.seg_rate = (
-            busy_rate if self.nodes[node_id].activity == BUSY else idle_rate
-        )
-
-    def _materialize_all(self) -> None:
-        for node_id in range(len(self.nodes)):
-            self._materialize(node_id)
-
-    def _window_cost_vec(self, start: SimTime, end: SimTime, host: float) -> float:
+    def _window_cost(
+        self,
+        start: SimTime,
+        end: SimTime,
+        host: float,
+        stepped: Sequence[int],
+        stepped_finish: float,
+        rates: Optional[Rates],
+    ) -> float:
         """Max host finish time over all nodes, minus the window's start.
 
-        Event-free (untouched) nodes finished the window on a single
-        segment; their finish is computed arithmetically over the slowdown
-        arrays with the same per-element operations the scalar path's
-        ``reset`` + ``finish_host`` would perform (``rate = 1e9 / slowdown``
-        then ``host + span / rate`` — never algebraically rearranged, so
-        the floats match bit-for-bit).  Touched nodes use their clocks.
+        Stepped nodes finished wherever their clocks say (*stepped_finish*
+        is their maximum).  Every other node crossed the window on a single
+        segment; its finish is computed arithmetically over the rate arrays
+        with the same per-element operations ``NodeClock.reset`` +
+        ``host_of`` would perform (``host + span / rate`` — never
+        algebraically rearranged, so the floats match bit-for-bit).  Float
+        ``max`` is insensitive to order and grouping.
         """
-        clocks = self._clocks
-        touched = self._touched
-        if len(touched) == len(clocks):
-            # All nodes stepped: ``host_of(end)`` for each, unrolled into
-            # segment-attribute arithmetic (identical expression, no
-            # per-node call or generator frame).
-            best = -math.inf
-            for clock in clocks:
-                finish = clock.seg_host + (end - clock.seg_sim) / clock.seg_rate
-                if finish > best:
-                    best = finish
-            return best - host
-        span = end - start
-        rates = np.where(
-            self._busy_mask, self._q_busy_rates_arr, self._q_idle_rates_arr
-        )
-        finishes = host + span / rates
-        if touched:
-            finishes[touched] = -np.inf
-            best = float(finishes.max())
-            for node_id in touched:
-                finish = clocks[node_id].host_of(end)
-                if finish > best:
-                    best = finish
-        else:
-            best = float(finishes.max())
-        return best - host
-
-    def _run_window_vec(
-        self, end: SimTime, times: list[Optional[SimTime]]
-    ) -> None:
-        """Interleave node events in host-time order until the barrier.
-
-        Same lazy-invalidation heap as :meth:`_run_window` (same
-        ``(host_key, node_id, seq)`` total order, hence the same event
-        order), with two additions: nodes are materialized on first touch
-        (event-free nodes never enter the heap at all), and after handling
-        an event the node keeps draining *directly* while its next key
-        still beats the heap top — the heap top's key is a lower bound on
-        every live entry, so winning the comparison proves the node would
-        be popped next anyway.  This generalizes the scalar path's
-        single-active-node fast path to any number of live nodes.
-        """
-        nodes = self.nodes
-        clocks = self._clocks
-        materialize = self._materialize
-        sequences = [0] * len(nodes)
-        heap: list[tuple[float, int, int]] = []
-        for node_id, event_time in enumerate(times):
-            if event_time is not None and event_time < end:
-                materialize(node_id)
-                heap.append((clocks[node_id].host_of(event_time), node_id, 0))
-        heapq.heapify(heap)
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        dirty = self._dirty
-        handled = 0
-        while heap:
-            _, node_id, entry_seq = heappop(heap)
-            if entry_seq != sequences[node_id]:
-                continue
-            node = nodes[node_id]
-            clock = clocks[node_id]
-            peek = node.queue.peek_time
-            handle = node.pop_and_handle
-            while True:
-                dirty.clear()
-                handle()
-                handled += 1
-                for touched in dirty:
-                    if touched == node_id:
-                        continue
-                    sequences[touched] += 1
-                    t = nodes[touched].peek_time()
-                    if t is not None and t < end:
-                        materialize(touched)
-                        heappush(
-                            heap,
-                            (
-                                clocks[touched].host_of(t),
-                                touched,
-                                sequences[touched],
-                            ),
-                        )
-                event_time = peek()
-                if event_time is None or event_time >= end:
-                    break
-                if not heap:
-                    continue
-                key = clock.host_of(event_time)
-                top = heap[0]
-                if key < top[0] or (key == top[0] and node_id < top[1]):
-                    continue
-                sequences[node_id] += 1
-                heappush(heap, (key, node_id, sequences[node_id]))
-                break
-        dirty.clear()
-        self.perf.events += handled
-
-    def _run_window_drain(
-        self, end: SimTime, times: list[Optional[SimTime]]
-    ) -> None:
-        """Step a ground-truth window by draining each active node in turn.
-
-        Eligible when the quantum is no longer than the network's minimum
-        latency (``Q <= T``, the paper's conservative bound): every frame
-        emitted inside the window is then due at or beyond the barrier, so
-        the controller holds it and nodes cannot interact mid-window.  With
-        no cross-node coupling, host-time interleaving cannot change *what*
-        happens — only the order frames reach the controller, which decides
-        the hold heap's tie-breaking sequence numbers.  So each active node
-        drains its window events sequentially (no interleave heap, no
-        per-event host keys), emissions are collected with their sender
-        host times (see :meth:`_on_emit`), and the batch is sorted into
-        ``(host time, node id, per-node order)`` — exactly the order the
-        interleaved heap pops emit events — before submission.  Results are
-        bit-identical to the interleaved paths.
-        """
-        nodes = self.nodes
-        clocks = self._clocks
-        epochs = self._epochs
-        epoch = self._epoch
-        touched_append = self._touched.append
-        busy_rates = self._q_busy_rates
-        idle_rates = self._q_idle_rates
-        window_start = self._window[0]
-        host_start = self._host_window_start
-        pending: list[tuple[float, int, int, Packet]] = []
-        self._drain_pending = pending
-        handled = 0
-        for node_id, event_time in enumerate(times):
-            if event_time is None or event_time >= end:
-                continue
-            node = nodes[node_id]
-            if epochs[node_id] != epoch:
-                # Inlined :meth:`_materialize` with this window's constants
-                # hoisted out of the loop (value-identical clock reset).
-                epochs[node_id] = epoch
-                touched_append(node_id)
-                clock = clocks[node_id]
-                clock.busy_rate = busy_rate = busy_rates[node_id]
-                clock.idle_rate = idle_rate = idle_rates[node_id]
-                clock.seg_sim = window_start
-                clock.seg_host = host_start
-                clock.seg_rate = (
-                    busy_rate if node.activity == BUSY else idle_rate
-                )
-            count, next_time = node.drain_window(end)
-            handled += count
-            # In a drain window a node's queue only changes while it is
-            # being drained (nothing is delivered mid-window), so the
-            # drain's final head time is exactly the fresh peek the
-            # driver's post-window refresh would compute.
-            times[node_id] = next_time
-        self._drain_pending = None
-        if pending:
-            if len(pending) > 1:
-                # Tuple order is (host time, node id, order): the unique
-                # order field makes the sort total without ever comparing
-                # packets, and equals per-node emission order, which a
-                # stable sort must preserve for same-key entries anyway.
-                pending.sort()
-            self.controller.submit_held_batch(pending)
-        self.perf.events += handled
-
-    # ------------------------------------------------------------------ #
-    # Fast-forward accelerator
-    # ------------------------------------------------------------------ #
-
-    def _next_interesting_time(self) -> Optional[SimTime]:
-        """Earliest simulated time at which anything can happen."""
-        best = self.controller.next_held_time()
-        for node in self.nodes:
-            t = node.peek_time()
-            if t is not None and (best is None or t < best):
-                best = t
-        return best
+        if len(stepped) == len(self.nodes):
+            return stepped_finish - host
+        assert rates is not None
+        finishes = host + (end - start) / np.where(self._busy_mask, *rates)
+        if stepped:
+            finishes[stepped] = -np.inf
+        return max(float(finishes.max()), stepped_finish) - host
 
     def _fast_forward(
-        self,
-        now: SimTime,
-        host: float,
-        q_state: float,
-        horizon: SimTime,
-        barrier_cost: float,
-        quantum_stats: QuantumStats,
-        breakdown: HostCostBreakdown,
-        timeline: Optional[BucketTimeline],
-    ) -> tuple[SimTime, float, float]:
+        self, state: _LoopState, horizon: SimTime, barrier_cost: float, batched: bool
+    ) -> None:
         """Skip whole packet-free quanta up to (never into) *horizon*.
 
         No events means no activity transitions, so each node advances each
-        skipped quantum at a single rate — exactly what the vectorised
-        per-quantum slowdown draws model.
-        """
-        activities = [node.activity for node in self.nodes]
-        sanitizer = self.sanitizer
-        injector = self.injector
-        collector = self.collector
-        stalled = injector is not None and bool(injector.plan.stalls)
-        while True:
-            lengths, next_state = self.policy.idle_chunk(
-                q_state, horizon - now, self.config.chunk
-            )
-            count = len(lengths)
-            if count == 0:
-                return now, host, q_state
-            starts = now + np.concatenate(([0], np.cumsum(lengths[:-1])))
-            ends = starts + lengths if stalled else None
-            max_slow = self.host_models[0].slowdowns(count, activities[0], starts)
-            if stalled:
-                assert injector is not None and ends is not None
-                factors = injector.stall_factors(0, starts, ends)
-                if factors is not None:
-                    max_slow *= factors
-            for node_id, (model, activity) in enumerate(
-                zip(self.host_models[1:], activities[1:]), start=1
-            ):
-                slow = model.slowdowns(count, activity, starts)
-                if stalled:
-                    assert injector is not None and ends is not None
-                    factors = injector.stall_factors(node_id, starts, ends)
-                    if factors is not None:
-                        slow = slow * factors
-                np.maximum(max_slow, slow, out=max_slow)
-            if stalled:
-                assert injector is not None and ends is not None
-                injector.on_quanta(starts, ends)
-            node_cost = float((lengths * max_slow).sum()) / 1e9
-            span = int(lengths.sum())
-            barrier_total = barrier_cost * count
-            host += node_cost + barrier_total
-            breakdown.add(node_cost, barrier_total)
-            quantum_stats.record_lengths(lengths)
-            self.controller.note_idle_quanta(count)
-            if sanitizer is not None:
-                sanitizer.on_fast_forward(
-                    now, span, count, horizon, self.controller.next_held_time()
-                )
-            if collector is not None:
-                collector.fast_forward(now, span, count, node_cost, barrier_total)
-            if timeline is not None:
-                timeline.add_span(now, now + span, node_cost + barrier_total)
-            self.perf.ff_spans += 1
-            self.perf.ff_quanta += count
-            now += span
-            q_state = next_state
-
-    def _fast_forward_vec(
-        self,
-        now: SimTime,
-        host: float,
-        q_state: float,
-        horizon: SimTime,
-        barrier_cost: float,
-        quantum_stats: QuantumStats,
-        breakdown: HostCostBreakdown,
-        timeline: Optional[BucketTimeline],
-    ) -> tuple[SimTime, float, float]:
-        """:meth:`_fast_forward`, drawing jitter through the shared feed.
-
-        The homogeneous case (no sampling schedule, no host stalls) folds
-        the per-node loop into one ``(count, N)`` elementwise product and a
-        row max; sampled or stalled runs keep the per-node loop but consume
-        the same feed columns.  Either way the per-element float operations
-        match the scalar path exactly.
+        skipped quantum at a single rate and the span costs the per-quantum
+        maximum slowdown over nodes.  Only how that maximum is formed
+        varies: one slowdown vector per node from its host model (the
+        reference; batched runs with a sampling schedule or host stalls
+        feed it the same jitter through the shared feed), or — homogeneous
+        batched runs — one ``(base * node_factor) * jitter`` product per
+        node over the feed's rows.  The per-element float operations are
+        the same either way.
         """
         sanitizer = self.sanitizer
-        injector = self.injector
         collector = self.collector
+        controller = self.controller
         perf = self.perf
-        stalled = injector is not None and bool(injector.plan.stalls)
-        plain = not (self._sampling or stalled)
-        activities = None if plain else [node.activity for node in self.nodes]
+        stalls = (
+            self.injector
+            if self.injector is not None and self.injector.plan.stalls
+            else None
+        )
+        homogeneous = batched and not self._sampling and stalls is None
+        if homogeneous:
+            coeff = (
+                np.where(self._busy_mask, self._busy_bases, self._idle_bases)
+                * self._node_factors
+            )
+        else:
+            activities = [node.activity for node in self.nodes]
         while True:
+            now = state.now
             lengths, next_state = self.policy.idle_chunk(
-                q_state, horizon - now, self.config.chunk
+                state.q_state, horizon - now, self.config.chunk
             )
             count = len(lengths)
             if count == 0:
-                return now, host, q_state
-            starts = now + np.concatenate(([0], np.cumsum(lengths[:-1])))
-            jitter = self._feed.rows(count)
-            if plain:
-                # slowdown = (base * node_factor) * jitter, elementwise —
-                # the same (commutative-exact) products the per-node
-                # slowdowns() calls would compute.  Accumulated node by
-                # node over the feed's contiguous per-node rows: small
-                # cache-resident temporaries instead of one (N, count)
-                # product matrix, and float max is order-insensitive.
-                coeff = (
-                    np.where(self._busy_mask, self._busy_bases, self._idle_bases)
-                    * self._node_factors
-                )
+                return
+            jitter = self._feed.rows(count) if batched else None
+            if homogeneous:
+                # Accumulated node by node over the feed's contiguous
+                # per-node rows: small cache-resident temporaries instead
+                # of one (N, count) product matrix.
+                assert jitter is not None
                 max_slow = jitter[0] * coeff[0]
                 for node_id in range(1, len(coeff)):
                     np.maximum(
                         max_slow, jitter[node_id] * coeff[node_id], out=max_slow
                     )
             else:
-                assert activities is not None
-                ends = starts + lengths if stalled else None
-                models = self.host_models
-                max_slow = models[0].slowdowns_from(
-                    jitter[0], activities[0], starts
-                )
-                if stalled:
-                    assert injector is not None and ends is not None
-                    factors = injector.stall_factors(0, starts, ends)
-                    if factors is not None:
-                        max_slow *= factors
-                for node_id, (model, activity) in enumerate(
-                    zip(models[1:], activities[1:]), start=1
-                ):
-                    slow = model.slowdowns_from(
-                        jitter[node_id], activity, starts
-                    )
-                    if stalled:
-                        assert injector is not None and ends is not None
-                        factors = injector.stall_factors(node_id, starts, ends)
+                starts = now + np.concatenate(([0], np.cumsum(lengths[:-1])))
+                if stalls is not None:
+                    ends = starts + lengths
+                for node_id, model in enumerate(self.host_models):
+                    if jitter is None:
+                        slow = model.slowdowns(count, activities[node_id], starts)
+                    else:
+                        slow = model.slowdowns_from(
+                            jitter[node_id], activities[node_id], starts
+                        )
+                    if stalls is not None:
+                        factors = stalls.stall_factors(node_id, starts, ends)
                         if factors is not None:
                             slow = slow * factors
-                    np.maximum(max_slow, slow, out=max_slow)
-                if stalled:
-                    assert injector is not None and ends is not None
-                    injector.on_quanta(starts, ends)
+                    if node_id == 0:
+                        max_slow = slow
+                    else:
+                        np.maximum(max_slow, slow, out=max_slow)
+                if stalls is not None:
+                    stalls.on_quanta(starts, ends)
             node_cost = float((lengths * max_slow).sum()) / 1e9
             span = int(lengths.sum())
             barrier_total = barrier_cost * count
-            host += node_cost + barrier_total
-            breakdown.add(node_cost, barrier_total)
-            quantum_stats.record_lengths(lengths)
-            self.controller.note_idle_quanta(count)
+            state.charge(now, now + span, node_cost, barrier_total)
+            state.quantum_stats.record_lengths(lengths)
+            controller.note_idle_quanta(count)
             if sanitizer is not None:
                 sanitizer.on_fast_forward(
-                    now, span, count, horizon, self.controller.next_held_time()
+                    now, span, count, horizon, controller.next_held_time()
                 )
             if collector is not None:
                 collector.fast_forward(now, span, count, node_cost, barrier_total)
-            if timeline is not None:
-                timeline.add_span(now, now + span, node_cost + barrier_total)
             perf.ff_spans += 1
             perf.ff_quanta += count
-            now += span
-            q_state = next_state
+            state.now = now + span
+            state.q_state = next_state
 
-    # ------------------------------------------------------------------ #
-    # Termination
-    # ------------------------------------------------------------------ #
-
-    def _done(self) -> bool:
-        if self.controller.pending_count() > 0:
-            return False
-        for node in self.nodes:
-            if not node.finished or node.peek_time() is not None:
-                return False
-            if node.transport is not None and (
-                node.transport.queued_frames() > 0
-                or node.transport.unacked_frames() > 0
-            ):
-                return False
-        return True
-
-    def _deadlock_report(self, now: SimTime) -> str:
-        blocked = [node.name for node in self.nodes if node.blocked]
-        return (
-            f"deadlock at {format_time(now)}: no pending events or packets, "
-            f"but applications are still waiting (blocked: {', '.join(blocked) or 'none'})"
+    def _result(self, state: _LoopState, completed: bool, stepper: Stepper) -> RunResult:
+        node_stats, app_results, app_finish_times, transports = (
+            list(column) for column in zip(*stepper.node_reports())
         )
-
-    def _result(
-        self,
-        now: SimTime,
-        host: float,
-        completed: bool,
-        breakdown: HostCostBreakdown,
-        quantum_stats: QuantumStats,
-        timeline: Optional[BucketTimeline],
-    ) -> RunResult:
         transport_stats: Optional[list[TransportStats]] = None
         if any(
             node.transport is not None and node.transport.recovery is not None
             for node in self.nodes
         ):
             transport_stats = [
-                node.transport.stats if node.transport is not None else TransportStats()
-                for node in self.nodes
+                stats if stats is not None else TransportStats()
+                for stats in transports
             ]
         result = RunResult(
-            sim_time=now,
-            host_time=host,
+            sim_time=state.now,
+            host_time=state.host,
             completed=completed,
-            breakdown=breakdown,
-            quantum_stats=quantum_stats,
+            breakdown=state.breakdown,
+            quantum_stats=state.quantum_stats,
             controller_stats=self.controller.stats,
-            node_stats=[node.stats for node in self.nodes],
-            app_results=[node.app_result for node in self.nodes],
-            app_finish_times=[node.app_finish_time for node in self.nodes],
-            timeline=timeline,
+            node_stats=node_stats,
+            app_results=app_results,
+            app_finish_times=app_finish_times,
+            timeline=state.timeline,
             fault_stats=self.injector.stats if self.injector is not None else None,
             transport_stats=transport_stats,
         )

@@ -44,6 +44,16 @@ class BucketTimeline:
         self.bucket_width = bucket_width
         self._buckets: dict[int, float] = {}
 
+    def __eq__(self, other: object) -> bool:
+        """Value equality, so a :class:`~repro.core.cluster.RunResult`
+        carrying a timeline compares equal to an identical run's."""
+        if not isinstance(other, BucketTimeline):
+            return NotImplemented
+        return (
+            self.bucket_width == other.bucket_width
+            and self._buckets == other._buckets
+        )
+
     def add(self, sim_time: SimTime, host_cost: float) -> None:
         """Charge *host_cost* to the bucket containing *sim_time*."""
         if host_cost < 0:

@@ -7,10 +7,13 @@ by quantum; here the simulated nodes of one
 :class:`~repro.core.cluster.ClusterSimulator` are partitioned across N
 forked worker processes, and the parent process plays the mediator:
 
-* **Per-quantum barrier.**  The parent runs the unchanged
-  :class:`~repro.core.quantum.QuantumPolicy` loop — window selection,
-  fast-forward, quantum statistics, the barrier cost model — and drives
-  each window with one message round-trip per worker (the barrier).
+* **Per-quantum barrier.**  The parent runs the *same*
+  :meth:`ClusterSimulator.run() <repro.core.cluster.ClusterSimulator.run>`
+  loop a serial run does — horizon, fast-forward, host and barrier cost,
+  quantum statistics, policy step, result — with this module's
+  ``_ShardStepper`` installed as its stepping strategy: each window is
+  one message round-trip per worker (the barrier).  Nothing of the
+  loop's accounting is restated here.
 * **Shared-memory arrays.**  Per-quantum busy/idle clock rates flow
   parent -> workers, and per-node next-event times plus the busy mask
   flow workers -> parent, through shared numpy arrays (no per-window
@@ -26,7 +29,8 @@ forked worker processes, and the parent process plays the mediator:
   batch into the serial emission order and routes it through the
   unchanged :class:`~repro.network.controller.NetworkController`.
 
-Because the windows are exactly the serial drain windows, the rates are
+Because the loop is the serial loop, the workers drain their slices with
+the serial :class:`~repro.core.stepping.VectorStepper`, the rates are
 the same doubles, the emission order is the same total order, and the
 cost reduction is a float ``max`` (insensitive to grouping), a sharded
 run is **bit-identical to the serial path** — the same acceptance gate
@@ -42,22 +46,27 @@ simply rebuilds and reruns serially).
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import traceback
 from ctypes import c_bool, c_double, c_int64
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
 from repro.analysis.invariants import CausalitySanitizer, InvariantViolation
 from repro.core.cluster import ClusterSimulator, DeadlockError, RunResult
-from repro.core.quantum import QuantumStats
-from repro.core.stats import BucketTimeline, HostCostBreakdown
+from repro.core.stepping import (
+    Emission,
+    NodeReport,
+    Rates,
+    VectorStepper,
+    nodes_quiescent,
+)
 from repro.engine.units import SimTime, format_time
+from repro.network.packet import Packet
 from repro.node.hostmodel import BUSY
-from repro.node.node import SimulatedNode
-from repro.node.transport import TransportStats
 from repro.shard.partition import partition_nodes, resolve_shards
 
 try:  # pragma: no cover - present on every supported CPython build
@@ -199,32 +208,8 @@ def run_sharded(
 # --------------------------------------------------------------------- #
 
 
-class _BarrierState:
-    """The ``ClusterState`` the controller sees during a sharded run.
-
-    Only :meth:`quantum_window` is answerable from the parent — and only
-    it should ever be needed: every frame reaching the controller is due
-    at or beyond the barrier (the drain contract), which the controller
-    resolves without a position query.  A position query therefore means
-    the contract broke, and failing loudly beats a silently divergent
-    delivery race.
-    """
-
-    def __init__(self) -> None:
-        self.window: tuple[SimTime, SimTime] = (0, 0)
-
-    def quantum_window(self) -> tuple[SimTime, SimTime]:
-        return self.window
-
-    def node_position_at(self, node: int, host_time: float) -> SimTime:
-        raise RuntimeError(
-            "mid-window position query during a sharded run — a frame was "
-            "due before the barrier, breaking the Q <= min-latency contract"
-        )
-
-
 def _run_sharded_attempt(sim: ClusterSimulator, shards: int) -> RunResult:
-    """Fork the workers, drive the barrier loop, assemble the result."""
+    """Fork the workers and run the quantum loop with remote stepping."""
     num_nodes = len(sim.nodes)
     slices = partition_nodes(num_nodes, shards)
     ctx = multiprocessing.get_context("fork")
@@ -276,10 +261,13 @@ def _run_sharded_attempt(sim: ClusterSimulator, shards: int) -> RunResult:
             child_conn.close()
             procs.append(proc)
             conns.append(parent_conn)
-        return _parent_loop(
-            sim, slices, procs, conns,
-            busy_rates, idle_rates, times_arr, busy_mask,
+        # Parent-only from here on: the loop reads activity from the
+        # worker-published mask, and steps windows through the pipes.
+        sim._busy_mask = busy_mask
+        sim._stepper = _ShardStepper(
+            sim, slices, procs, conns, busy_rates, idle_rates, times_arr
         )
+        return sim.run()
     finally:
         for conn in conns:
             try:
@@ -318,348 +306,130 @@ def _recv(procs: list[Any], conns: list[Any], index: int) -> tuple:
     return reply
 
 
-def _parent_loop(
-    sim: ClusterSimulator,
-    slices: list[range],
-    procs: list[Any],
-    conns: list[Any],
-    busy_rates: np.ndarray,
-    idle_rates: np.ndarray,
-    times_arr: np.ndarray,
-    busy_mask: np.ndarray,
-) -> RunResult:
-    """The serial driver's main loop, with windows executed by workers.
+class _ShardStepper:
+    """Steps each window in the workers: one pipe round trip per shard.
 
-    Every accounting statement mirrors ``ClusterSimulator.run`` exactly
-    (same expressions, same order — IEEE float semantics make reordering
-    an observable change); the only structural difference is *who* steps
-    the nodes inside a window.
+    The :class:`~repro.core.stepping.Stepper` that
+    :meth:`ClusterSimulator.run` drives during a sharded run.  It owns no
+    accounting — the loop charges costs and steps the policy exactly as
+    it does serially — and only moves per-node facts across the barrier.
     """
-    config = sim.config
-    controller = sim.controller
-    policy = sim.policy
-    sanitizer = sim.sanitizer
-    perf = sim.perf
-    num_nodes = len(sim.nodes)
-    barrier_cost = config.barrier.overhead(num_nodes)
-    min_latency = controller.latency_model.min_latency()
-    feed = sim._feed
-    node_factors = sim._node_factors
-    busy_bases = sim._busy_bases
-    idle_bases = sim._idle_bases
-    num_shards = len(slices)
 
-    shard_of = [0] * num_nodes
-    for index, span in enumerate(slices):
-        for node_id in span:
-            shard_of[node_id] = index
-    quiescent = [
-        _slice_quiescent([sim.nodes[node_id] for node_id in span])
-        for span in slices
-    ]
+    batched = True
 
-    state = _BarrierState()
-    controller.bind(state)
-
-    now: SimTime = 0
-    host: float = 0.0
-    completed = True
-    q_state = policy.initial()
-    quantum_stats = QuantumStats()
-    breakdown = HostCostBreakdown()
-    timeline = (
-        BucketTimeline(config.timeline_bucket)
-        if config.timeline_bucket is not None
-        else None
-    )
-
-    while not (controller.pending_count() == 0 and all(quiescent)):
-        if now >= config.sim_time_limit:
-            completed = False
-            break
-
-        horizon = controller.next_held_time()
-        for t in times_arr.tolist():
-            if t >= 0 and (horizon is None or t < horizon):
-                horizon = t
-        if horizon is None:
-            blocked: list[str] = []
-            for index in range(num_shards):
-                conns[index].send((_REPORT,))
-            for index in range(num_shards):
-                blocked.extend(_recv(procs, conns, index)[1])
-            raise DeadlockError(
-                f"deadlock at {format_time(now)}: no pending events or "
-                f"packets, but applications are still waiting "
-                f"(blocked: {', '.join(blocked) or 'none'})"
-            )
-
-        if config.fast_forward:
-            window = policy.window(q_state)
-            if horizon - now >= config.fast_forward_min_quanta * window:
-                now, host, q_state = _fast_forward(
-                    sim, now, host, q_state,
-                    min(horizon, config.sim_time_limit),
-                    barrier_cost, quantum_stats, breakdown, timeline,
-                    busy_mask,
-                )
-
-        # One event-by-event quantum, stepped remotely.
-        window = policy.window(q_state)
-        start, end = now, now + window
-        state.window = (start, end)
-        if sanitizer is not None:
-            sanitizer.on_quantum_start(start, end)
-        host_window_start = host
-
-        # Per-quantum slowdown draw, exactly _prepare_window_vec's plain
-        # path — the division happens parent-side, so workers read the
-        # identical doubles the serial reset would compute.
-        jitter = feed.row()
-        tmp = jitter * node_factors
-        busy = busy_bases * tmp
-        idle = idle_bases * tmp
-        busy_rates[:] = 1e9 / busy
-        idle_rates[:] = 1e9 / idle
-
-        deliveries: list[list[tuple[int, Any, SimTime]]] = [
-            [] for _ in range(num_shards)
+    def __init__(
+        self,
+        sim: ClusterSimulator,
+        slices: list[range],
+        procs: list[Any],
+        conns: list[Any],
+        busy_rates: np.ndarray,
+        idle_rates: np.ndarray,
+        times_arr: np.ndarray,
+    ) -> None:
+        self._sim = sim
+        self._procs = procs
+        self._conns = conns
+        self._rates = (busy_rates, idle_rates)
+        self._times_arr = times_arr
+        self._shard_of = [
+            index for index, span in enumerate(slices) for _ in span
         ]
-        held = controller.next_held_time()
-        if held is not None and held < end:
-            for decision in controller.release_due(start, end):
-                dst = decision.packet.dst
-                deliveries[shard_of[dst]].append(
-                    (dst, decision.packet, decision.deliver_time)
-                )
+        self._quiet = [
+            nodes_quiescent(sim.nodes[node_id] for node_id in span)
+            for span in slices
+        ]
+        self._deliveries: list[list[tuple[Packet, SimTime]]] = [
+            [] for _ in slices
+        ]
+        self._start: SimTime = 0
+        self._host = 0.0
 
-        for index in range(num_shards):
+    def _replies(self) -> list[tuple]:
+        """One reply from every worker, in shard order."""
+        return [
+            _recv(self._procs, self._conns, index)
+            for index in range(len(self._conns))
+        ]
+
+    def next_event_time(self) -> Optional[SimTime]:
+        pending = self._times_arr[self._times_arr >= 0]
+        return int(pending.min()) if len(pending) else None
+
+    def open(self, start: SimTime, end: SimTime, host: float) -> Rates:
+        # The division happens parent-side, so workers read the identical
+        # doubles a serial clock reset would be handed.
+        busy_rates, idle_rates = self._rates
+        busy, idle = self._sim._window_rates(start, end)
+        busy_rates[:] = busy
+        idle_rates[:] = idle
+        self._start = start
+        self._host = host
+        return self._rates
+
+    def deliver(self, frames: Iterable[tuple[Packet, SimTime]]) -> None:
+        for frame in frames:
+            self._deliveries[self._shard_of[frame[0].dst]].append(frame)
+
+    def step(self, end: SimTime) -> tuple[int, list[Emission], list[int], float]:
+        conns = self._conns
+        for index in range(len(conns)):
             conns[index].send(
-                (_WINDOW, start, end, host_window_start, deliveries[index])
+                (_WINDOW, self._start, end, self._host, self._deliveries[index])
             )
-        pending: list[tuple[float, int, int, Any]] = []
-        touched_ids: list[int] = []
-        touched_max = -float("inf")
+            self._deliveries[index] = []
         handled = 0
-        for index in range(num_shards):
-            reply = _recv(procs, conns, index)
-            _, emissions, touched, shard_max, quiet, shard_handled = reply
-            pending.extend(emissions)
-            touched_ids.extend(touched)
-            if shard_max is not None and shard_max > touched_max:
-                touched_max = shard_max
-            quiescent[index] = quiet
-            handled += shard_handled
+        emissions: list[Emission] = []
+        stepped: list[int] = []
+        stepped_finish = -math.inf
+        for index in range(len(conns)):
+            _, count, emitted, touched, finish, quiet = _recv(self._procs, conns, index)
+            handled += count
+            # Each worker numbers its emissions in its own drain order:
+            # per-node order is preserved and cross-node ties resolve on
+            # node id before the order field is ever consulted.
+            emissions.extend(emitted)
+            stepped.extend(touched)
+            if finish > stepped_finish:
+                stepped_finish = finish
+            self._quiet[index] = quiet
+        return handled, emissions, stepped, stepped_finish
 
-        if pending:
-            if len(pending) > 1:
-                # (host time, node id, per-worker order): per-node order is
-                # preserved and cross-node ties resolve on node id, which is
-                # exactly the serial drain's sorted emission order; the
-                # order field never collides within a worker, so packets
-                # are never compared.
-                pending.sort()
-            controller.submit_held_batch(pending)
-
-        perf.events += handled
-        perf.event_quanta += 1
-        stepped = len(touched_ids)
-        perf.stepped_node_quanta += stepped
-        if stepped < num_nodes:
-            perf.skipped_node_quanta += num_nodes - stepped
-            perf.subset_windows += 1
-
-        np_count = controller.end_quantum()
-        if sanitizer is not None:
-            sanitizer.on_quantum_end(start, end, np_count)
-
-        if controller.pending_count() == 0 and all(quiescent):
-            # The run completed inside this quantum: truncate the final
-            # window at the last application finish, no closing barrier —
-            # the exact accounting of the serial final-window block.
-            for index in range(num_shards):
-                conns[index].send((_FINAL, start, end))
-            last: SimTime = start
-            max_finish_host = -float("inf")
-            for index in range(num_shards):
-                _, shard_last, shard_host = _recv(procs, conns, index)
-                if shard_last is not None and shard_last > last:
-                    last = shard_last
-                if shard_host > max_finish_host:
-                    max_finish_host = shard_host
-            node_cost = max_finish_host - host
-            host += node_cost
-            breakdown.add(node_cost, 0.0)
-            quantum_stats.record(window)
-            if timeline is not None and node_cost > 0:
-                timeline.add_span(start, max(last, start + 1), node_cost)
-            now = max(last, start + 1)
-            break
-
-        node_cost = _window_cost(
-            sim, start, end, host, stepped, touched_ids, touched_max,
-            busy_rates, idle_rates, busy_mask,
+    def touch(self, node_id: int) -> None:
+        # Every frame reaching the controller is due at or beyond the
+        # barrier (the drain contract), which it resolves without asking
+        # where the destination is.  A position query therefore means the
+        # contract broke, and failing loudly beats a silently divergent
+        # delivery race against the parent's stale clocks.
+        raise RuntimeError(
+            "mid-window position query during a sharded run — a frame was "
+            "due before the barrier, breaking the Q <= min-latency contract"
         )
-        host += node_cost + barrier_cost
-        breakdown.add(node_cost, barrier_cost)
-        quantum_stats.record(window)
-        if timeline is not None:
-            timeline.add_span(start, end, node_cost + barrier_cost)
-        q_state = policy.next(q_state, np_count)
-        now = end
 
-    return _collect_result(
-        sim, slices, procs, conns, now, host, completed,
-        breakdown, quantum_stats, timeline,
-    )
+    def settle(self) -> None:
+        pass  # workers audit their own clocks; the parent's are never read
 
+    def quiescent(self) -> bool:
+        return all(self._quiet)
 
-def _window_cost(
-    sim: ClusterSimulator,
-    start: SimTime,
-    end: SimTime,
-    host: float,
-    stepped: int,
-    touched_ids: list[int],
-    touched_max: float,
-    busy_rates: np.ndarray,
-    idle_rates: np.ndarray,
-    busy_mask: np.ndarray,
-) -> float:
-    """Max host finish over all nodes minus window start, sharded.
+    def blocked_names(self) -> list[str]:
+        for conn in self._conns:
+            conn.send((_REPORT,))
+        return [name for reply in self._replies() for name in reply[1]]
 
-    Event-free nodes are costed arithmetically over the shared rate
-    arrays with the serial ``_window_cost_vec`` expression; stepped
-    nodes were costed by their owning worker (``clock.host_of(end)``),
-    whose per-shard maxima combine by float ``max`` — order- and
-    grouping-insensitive, hence bit-identical to the serial reduction.
-    """
-    if stepped == len(sim.nodes):
-        return touched_max - host
-    span = end - start
-    rates = np.where(busy_mask, busy_rates, idle_rates)
-    finishes = host + span / rates
-    if touched_ids:
-        finishes[touched_ids] = -np.inf
-        best = float(finishes.max())
-        if touched_max > best:
-            best = touched_max
-    else:
-        best = float(finishes.max())
-    return best - host
-
-
-def _fast_forward(
-    sim: ClusterSimulator,
-    now: SimTime,
-    host: float,
-    q_state: float,
-    horizon: SimTime,
-    barrier_cost: float,
-    quantum_stats: QuantumStats,
-    breakdown: HostCostBreakdown,
-    timeline: Optional[BucketTimeline],
-    busy_mask: np.ndarray,
-) -> tuple[SimTime, float, float]:
-    """``_fast_forward_vec``'s plain branch, run entirely in the parent.
-
-    Eligible runs carry no sampling schedule and no fault plan, so the
-    homogeneous branch always applies.  The parent owns every host
-    model's jitter stream (workers never draw), so consuming the feed
-    here keeps stream positions identical to a serial run; the workers'
-    clocks are simply re-anchored by the next window's shared rates.
-    """
-    controller = sim.controller
-    policy = sim.policy
-    sanitizer = sim.sanitizer
-    perf = sim.perf
-    feed = sim._feed
-    coeff_bases = (sim._busy_bases, sim._idle_bases)
-    while True:
-        lengths, next_state = policy.idle_chunk(
-            q_state, horizon - now, sim.config.chunk
+    def final_facts(self, start: SimTime, end: SimTime) -> tuple[SimTime, float]:
+        for conn in self._conns:
+            conn.send((_FINAL, start, end))
+        replies = self._replies()
+        return (
+            max(shard_last for _, shard_last, _ in replies),
+            max(finish_host for _, _, finish_host in replies),
         )
-        count = len(lengths)
-        if count == 0:
-            return now, host, q_state
-        jitter = feed.rows(count)
-        coeff = (
-            np.where(busy_mask, coeff_bases[0], coeff_bases[1])
-            * sim._node_factors
-        )
-        max_slow = jitter[0] * coeff[0]
-        for node_id in range(1, len(coeff)):
-            np.maximum(max_slow, jitter[node_id] * coeff[node_id], out=max_slow)
-        node_cost = float((lengths * max_slow).sum()) / 1e9
-        span = int(lengths.sum())
-        barrier_total = barrier_cost * count
-        host += node_cost + barrier_total
-        breakdown.add(node_cost, barrier_total)
-        quantum_stats.record_lengths(lengths)
-        controller.note_idle_quanta(count)
-        if sanitizer is not None:
-            sanitizer.on_fast_forward(
-                now, span, count, horizon, controller.next_held_time()
-            )
-        if timeline is not None:
-            timeline.add_span(now, now + span, node_cost + barrier_total)
-        perf.ff_spans += 1
-        perf.ff_quanta += count
-        now += span
-        q_state = next_state
 
-
-def _collect_result(
-    sim: ClusterSimulator,
-    slices: list[range],
-    procs: list[Any],
-    conns: list[Any],
-    now: SimTime,
-    host: float,
-    completed: bool,
-    breakdown: HostCostBreakdown,
-    quantum_stats: QuantumStats,
-    timeline: Optional[BucketTimeline],
-) -> RunResult:
-    """Gather per-node terminal state from the workers and assemble."""
-    node_stats = []
-    app_results = []
-    app_finish_times = []
-    transports: list[Optional[TransportStats]] = []
-    any_recovery = False
-    for index in range(len(slices)):
-        conns[index].send((_FINISH,))
-    for index in range(len(slices)):
-        reply = _recv(procs, conns, index)
-        _, stats, results, finishes, shard_transports, recovery = reply
-        node_stats.extend(stats)
-        app_results.extend(results)
-        app_finish_times.extend(finishes)
-        transports.extend(shard_transports)
-        any_recovery = any_recovery or recovery
-    transport_stats: Optional[list[TransportStats]] = None
-    if any_recovery:
-        transport_stats = [
-            stats if stats is not None else TransportStats()
-            for stats in transports
-        ]
-    result = RunResult(
-        sim_time=now,
-        host_time=host,
-        completed=completed,
-        breakdown=breakdown,
-        quantum_stats=quantum_stats,
-        controller_stats=sim.controller.stats,
-        node_stats=node_stats,
-        app_results=app_results,
-        app_finish_times=app_finish_times,
-        timeline=timeline,
-        fault_stats=None,
-        transport_stats=transport_stats,
-    )
-    if sim.sanitizer is not None:
-        sim.sanitizer.on_run_end(result)
-    return result
+    def node_reports(self) -> list[NodeReport]:
+        for conn in self._conns:
+            conn.send((_FINISH,))
+        return [report for reply in self._replies() for report in reply[1]]
 
 
 # --------------------------------------------------------------------- #
@@ -686,19 +456,6 @@ def _worker_recv(conn: Any) -> Optional[tuple]:
         return None
 
 
-def _slice_quiescent(nodes: list[SimulatedNode]) -> bool:
-    """The shard-local half of ``ClusterSimulator._done``."""
-    for node in nodes:
-        if not node.finished or node.peek_time() is not None:
-            return False
-        transport = node.transport
-        if transport is not None and (
-            transport.queued_frames() > 0 or transport.unacked_frames() > 0
-        ):
-            return False
-    return True
-
-
 def _shard_worker(
     sim: ClusterSimulator,
     span: range,
@@ -712,25 +469,19 @@ def _shard_worker(
     """One worker: owns nodes ``span`` of the forked simulator.
 
     The fork hands the worker the complete built simulator — live
-    application generators, queues, clocks, transports — and it steps
-    only its slice.  Per window it applies the parent's cross-shard
-    deliveries, materializes clocks from the shared rate arrays (the
-    inlined ``_materialize`` reset, value-identical to serial), drains
-    each active node, and returns the emission batch with absolute host
-    timestamps; next-event times and the busy mask go back through the
-    shared arrays.  Emitted frames keep their per-worker emission order,
-    which is all the parent's merge sort needs (cross-node ties resolve
-    on node id before the order field is ever consulted).
+    application generators, queues, clocks, transports — and it drives
+    the serial :class:`~repro.core.stepping.VectorStepper` over its slice
+    only.  Per window it applies the parent's cross-shard deliveries,
+    loads the shared rate arrays, drains each active node, and returns
+    the emission batch with absolute host timestamps; next-event times
+    and the busy mask go back through the shared arrays.  The worker
+    reports facts and keeps no accounts: whatever it counted would be
+    lost with the process.
     """
     try:
         nodes = sim.nodes
-        clocks = sim._clocks
-        my_nodes = [nodes[node_id] for node_id in span]
-        times: list[Optional[SimTime]] = [node.peek_time() for node in my_nodes]
-        epoch = 0
-        epochs = [0] * len(my_nodes)
-        low = span.start
-        window: tuple[SimTime, SimTime] = (0, 0)
+        stepper = VectorStepper(sim, span)
+        times = stepper.times
         while True:
             command = _worker_recv(conn)
             if command is None:
@@ -738,116 +489,43 @@ def _shard_worker(
             op = command[0]
             if op == _WINDOW:
                 _, start, end, host_start, deliveries = command
-                epoch += 1
-                window = (start, end)
-                sim._window = window
-                sim._host_window_start = host_start
-                for dst, packet, deliver_time in deliveries:
-                    if checking and not (
-                        span.start <= dst < span.stop
-                        and start <= deliver_time <= end
-                    ):
-                        raise InvariantViolation(
-                            "shard-handoff",
-                            f"delivery for node {dst} at "
-                            f"{format_time(deliver_time)} does not belong to "
-                            f"shard nodes [{span.start}, {span.stop}) in "
-                            f"window [{format_time(start)}, {format_time(end)})",
-                            node=dst,
-                            sim_time=deliver_time,
-                        )
-                    nodes[dst].deliver(packet, deliver_time)
-                    times[dst - low] = nodes[dst].peek_time()
-                pending: list[tuple[float, int, int, Any]] = []
-                touched: list[int] = []
-                handled = 0
-                sim._drain_pending = pending
+                stepper.load(start, host_start, busy_rates, idle_rates)
+                if checking:
+                    for packet, deliver_time in deliveries:
+                        if not (
+                            packet.dst in span and start <= deliver_time <= end
+                        ):
+                            raise InvariantViolation(
+                                "shard-handoff",
+                                f"delivery for node {packet.dst} at "
+                                f"{format_time(deliver_time)} does not belong to "
+                                f"shard nodes [{span.start}, {span.stop}) in "
+                                f"window [{format_time(start)}, {format_time(end)})",
+                                node=packet.dst,
+                                sim_time=deliver_time,
+                            )
+                stepper.deliver(deliveries)
                 sim._in_window = True
-                for local, node_id in enumerate(span):
-                    event_time = times[local]
-                    if event_time is None or event_time >= end:
-                        continue
-                    node = nodes[node_id]
-                    if epochs[local] != epoch:
-                        # Inlined ClusterSimulator._materialize: the same
-                        # reset, with the rate division already done
-                        # parent-side in bulk.
-                        epochs[local] = epoch
-                        touched.append(node_id)
-                        clock = clocks[node_id]
-                        clock.busy_rate = busy_rate = float(busy_rates[node_id])
-                        clock.idle_rate = idle_rate = float(idle_rates[node_id])
-                        clock.seg_sim = start
-                        clock.seg_host = host_start
-                        clock.seg_rate = (
-                            busy_rate if node.activity == BUSY else idle_rate
-                        )
-                    count, next_time = node.drain_window(end)
-                    handled += count
-                    times[local] = next_time
+                handled, emissions = stepper.drain(end)
                 sim._in_window = False
-                sim._drain_pending = None
-                for local, node_id in enumerate(span):
-                    t = times[local]
+                for node_id in span:
+                    t = times[node_id]
                     times_arr[node_id] = -1 if t is None else t
                     busy_mask[node_id] = nodes[node_id].activity == BUSY
-                shard_max: Optional[float] = None
-                for node_id in touched:
-                    finish = clocks[node_id].host_of(end)
-                    if shard_max is None or finish > shard_max:
-                        shard_max = finish
+                touched, finish = stepper.stepped(end)
                 if checking:
-                    _audit_slice(sim, span, epoch, epochs, window,
-                                 busy_rates, idle_rates)
-                conn.send((
-                    _WINDOW, pending, touched,
-                    float(shard_max) if shard_max is not None else None,
-                    _slice_quiescent(my_nodes), handled,
-                ))
+                    _audit_slice(sim, stepper, start, end)
+                conn.send(
+                    (_WINDOW, handled, emissions, touched, finish, stepper.quiescent())
+                )
             elif op == _FINAL:
                 _, start, end = command
-                _materialize_slice(
-                    sim, span, epoch, epochs, window, busy_rates, idle_rates
-                )
-                shard_last: Optional[SimTime] = None
-                finish_host = -float("inf")
-                for node_id in span:
-                    node = nodes[node_id]
-                    finish_time = node.app_finish_time
-                    if finish_time is not None:
-                        clamped = min(max(finish_time, start), end)
-                        if shard_last is None or clamped > shard_last:
-                            shard_last = clamped
-                    anchor = node.app_finish_time or start
-                    finish = clocks[node_id].host_of(
-                        min(max(anchor, start), end)
-                    )
-                    if finish > finish_host:
-                        finish_host = finish
-                conn.send((_FINAL, shard_last, float(finish_host)))
+                shard_last, finish_host = stepper.final_facts(start, end)
+                conn.send((_FINAL, shard_last, finish_host))
             elif op == _REPORT:
-                conn.send((
-                    _REPORT,
-                    [node.name for node in my_nodes if node.blocked],
-                ))
+                conn.send((_REPORT, stepper.blocked_names()))
             elif op == _FINISH:
-                transports = [
-                    node.transport.stats if node.transport is not None else None
-                    for node in my_nodes
-                ]
-                recovery = any(
-                    node.transport is not None
-                    and node.transport.recovery is not None
-                    for node in my_nodes
-                )
-                conn.send((
-                    _FINISH,
-                    [node.stats for node in my_nodes],
-                    [node.app_result for node in my_nodes],
-                    [node.app_finish_time for node in my_nodes],
-                    transports,
-                    recovery,
-                ))
+                conn.send((_FINISH, stepper.node_reports()))
             else:  # _EXIT (or anything unknown): leave quietly
                 break
     except Exception as error:  # ship the failure; the parent decides
@@ -862,51 +540,16 @@ def _shard_worker(
         conn.close()
 
 
-def _materialize_slice(
-    sim: ClusterSimulator,
-    span: range,
-    epoch: int,
-    epochs: list[int],
-    window: tuple[SimTime, SimTime],
-    busy_rates: np.ndarray,
-    idle_rates: np.ndarray,
-) -> None:
-    """Give every not-yet-stepped node of the slice its window clock
-    (the worker half of ``_materialize_all``, value-identical)."""
-    nodes = sim.nodes
-    clocks = sim._clocks
-    start = window[0]
-    host_start = sim._host_window_start
-    for local, node_id in enumerate(span):
-        if epochs[local] == epoch:
-            continue
-        epochs[local] = epoch
-        node = nodes[node_id]
-        clock = clocks[node_id]
-        clock.busy_rate = busy_rate = float(busy_rates[node_id])
-        clock.idle_rate = idle_rate = float(idle_rates[node_id])
-        clock.seg_sim = start
-        clock.seg_host = host_start
-        clock.seg_rate = busy_rate if node.activity == BUSY else idle_rate
-
-
 def _audit_slice(
-    sim: ClusterSimulator,
-    span: range,
-    epoch: int,
-    epochs: list[int],
-    window: tuple[SimTime, SimTime],
-    busy_rates: np.ndarray,
-    idle_rates: np.ndarray,
+    sim: ClusterSimulator, stepper: VectorStepper, start: SimTime, end: SimTime
 ) -> None:
     """Per-shard barrier audit: the slice-local checks the attached
     sanitizer's ``on_quantum_end`` would run against the whole cluster
     (leftover events behind the barrier, clock anchors inside the
     window); the parent's unattached sanitizer covers everything else.
     """
-    start, end = window
-    _materialize_slice(sim, span, epoch, epochs, window, busy_rates, idle_rates)
-    for node_id in span:
+    stepper.settle()
+    for node_id in stepper.span:
         pending = sim.nodes[node_id].peek_time()
         if pending is not None and pending < end:
             raise InvariantViolation(

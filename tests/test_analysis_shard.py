@@ -383,8 +383,8 @@ def test_injected_unpaired_tag_is_caught() -> None:
     injected = source.replace(
         '_ERROR = "error"', '_ERROR = "error"\n_NUDGE = "nudge"', 1
     ).replace(
-        "conns[index].send((_REPORT,))",
-        "conns[index].send((_NUDGE,))\n                conns[index].send((_REPORT,))",
+        "conn.send((_REPORT,))",
+        "conn.send((_NUDGE,))\n            conn.send((_REPORT,))",
         1,
     )
     assert "_NUDGE" in injected
@@ -394,9 +394,9 @@ def test_injected_unpaired_tag_is_caught() -> None:
     injected_worker = source.replace(
         '_ERROR = "error"', '_ERROR = "error"\n_NUDGE = "nudge"', 1
     ).replace(
-        "conn.send((_FINAL, shard_last, float(finish_host)))",
+        "conn.send((_FINAL, shard_last, finish_host))",
         "conn.send((_NUDGE,))\n                conn.send("
-        "(_FINAL, shard_last, float(finish_host)))",
+        "(_FINAL, shard_last, finish_host))",
         1,
     )
     findings = check_shard_source(injected_worker, "src/repro/shard/driver.py")

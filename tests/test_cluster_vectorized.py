@@ -103,6 +103,7 @@ def _run(
     transport=None,
     check=None,
     backend="python",
+    timeline_bucket=None,
 ):
     nodes = [
         SimulatedNode(i, app, transport=transport)
@@ -116,6 +117,7 @@ def _run(
         trace=TraceConfig() if trace else None,
         check=check,
         backend=backend,
+        timeline_bucket=timeline_bucket,
     )
     sim = ClusterSimulator(nodes, controller, policy_factory(), config)
     result = sim.run()
@@ -202,6 +204,24 @@ def test_recovery_transport_runs_are_bit_identical():
         _assert_equivalent(
             WORKLOADS["IS"], 4, POLICIES[name], transport=transport
         )
+
+
+def test_timeline_runs_are_bit_identical():
+    """The host-cost timeline is part of the result: two identical runs
+    compare equal (value equality on ``BucketTimeline``), and every driver
+    fills the same buckets with the same doubles."""
+    for name in ("1us", "dyn 1.03"):
+        first, second = (
+            _run(WORKLOADS["IS"], 4, POLICIES[name], vectorized=False,
+                 timeline_bucket=50 * US)[0]
+            for _ in range(2)
+        )
+        assert len(first.timeline) > 1
+        assert first == second
+        for apps_factory in WORKLOADS.values():
+            _assert_equivalent(
+                apps_factory, 4, POLICIES[name], timeline_bucket=50 * US
+            )
 
 
 # ---------------------------------------------------------------------- #

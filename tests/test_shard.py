@@ -22,7 +22,12 @@ import json
 
 import pytest
 
-from repro.core import ClusterConfig, ClusterSimulator, FixedQuantumPolicy
+from repro.core import (
+    ClusterConfig,
+    ClusterSimulator,
+    DeadlockError,
+    FixedQuantumPolicy,
+)
 from repro.core.quantum import AdaptiveQuantumPolicy
 from repro.engine.units import MICROSECOND
 from repro.faults.plan import load_plan
@@ -30,7 +35,8 @@ from repro.harness.configs import ground_truth_policy
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.parallel import RunnerSettings, RunSpec
 from repro.network import NetworkController, PAPER_NETWORK
-from repro.node import SimulatedNode
+from repro.node import ComputeTime, Recv, SimulatedNode
+from repro.node.hostmodel import HostModelParams
 from repro.node.transport import RecoveryConfig, TransportConfig
 from repro.obs.collector import TraceConfig
 from repro.shard import SHARDS_ENV, partition_nodes, resolve_shards, run_sharded
@@ -57,6 +63,7 @@ def _factory(
     trace=False,
     transport=None,
     shards=None,
+    **options,
 ):
     def build():
         nodes = [
@@ -70,6 +77,7 @@ def _factory(
             faults=faults,
             trace=TraceConfig() if trace else None,
             shards=shards,
+            **options,
         )
         return ClusterSimulator(nodes, controller, policy_factory(), config)
 
@@ -84,6 +92,7 @@ def _assert_identical(
     *,
     expect_sharded=True,
     expect_reason=None,
+    expect_completed=True,
     **kwargs,
 ):
     build = _factory(apps_factory, size, policy_factory, **kwargs)
@@ -97,7 +106,7 @@ def _assert_identical(
         assert outcome.fallback_reason is not None
         if expect_reason is not None:
             assert expect_reason in outcome.fallback_reason
-    assert serial.completed and outcome.result.completed
+    assert serial.completed is expect_completed
     assert serial == outcome.result
 
 
@@ -216,6 +225,52 @@ def test_recovery_transport_sharded_runs_are_bit_identical():
         )
 
 
+def test_sharded_loop_options_are_bit_identical():
+    """The sharded run is the serial quantum loop with remote stepping, so
+    every loop-level option behaves as it does serially: the host-cost
+    timeline, a time limit that stops the run mid-way, jitter-free host
+    models (no draws consumed on either side), and the accelerator off."""
+    for apps_factory in (WORKLOADS["IS"], WORKLOADS["NAMD"]):
+        for config in (
+            {"timeline_bucket": 50 * US},
+            {"host_params": HostModelParams(jitter_sigma=0)},
+        ):
+            _assert_identical(
+                apps_factory, 4, lambda: FixedQuantumPolicy(US), 2, **config
+            )
+    # Every quantum a barrier round trip: a small input keeps it to ~900.
+    _assert_identical(
+        lambda size: IsWorkload(total_keys=2**15, iterations=2).build_apps(size),
+        4, lambda: FixedQuantumPolicy(US), 2, fast_forward=False,
+    )
+    finished = _factory(WORKLOADS["IS"], 4, lambda: FixedQuantumPolicy(US))().run()
+    _assert_identical(
+        WORKLOADS["IS"], 4, lambda: FixedQuantumPolicy(US), 2,
+        sim_time_limit=finished.sim_time // 2, timeline_bucket=50 * US,
+        expect_completed=False,
+    )
+
+
+def test_sharded_deadlock_reports_like_serial():
+    def apps(size):
+        def waiter(peer):
+            yield ComputeTime(5 * US)
+            yield Recv(src=peer)
+
+        def silent():
+            yield ComputeTime(10 * US)
+
+        return [waiter(3), silent(), waiter(1), silent()]
+
+    build = _factory(apps, 4, lambda: FixedQuantumPolicy(US))
+    with pytest.raises(DeadlockError) as serial:
+        build().run()
+    with pytest.raises(DeadlockError) as sharded:
+        run_sharded(build, shards=2)
+    assert "node0, node2" in str(serial.value)
+    assert str(sharded.value) == str(serial.value)
+
+
 # ---------------------------------------------------------------------- #
 # Serial fallbacks: bit-identical, and the reason is surfaced
 # ---------------------------------------------------------------------- #
@@ -280,7 +335,9 @@ def test_midflight_worker_failure_reruns_serially(monkeypatch):
     def boom(*args, **kwargs):
         raise OSError("synthetic pipe failure")
 
-    monkeypatch.setattr(shard_driver, "_parent_loop", boom)
+    # Workers are forked and the loop is running when the first barrier
+    # reply is awaited.
+    monkeypatch.setattr(shard_driver, "_recv", boom)
     build = _factory(WORKLOADS["IS"], 8, lambda: FixedQuantumPolicy(US))
     serial = build().run()
     outcome = run_sharded(build, shards=2)
