@@ -80,10 +80,14 @@ class DeadlockError(RuntimeError):
 
 #: Cluster size below which ``vectorized="auto"`` picks the scalar stepper.
 #: The vectorized driver's per-window numpy setup (slowdown rows, rate
-#: arrays) is a fixed cost amortized over the nodes stepped per window; on
-#: small clusters the event density per window is too low to pay for it
-#: (measured crossover: the scalar path wins by up to ~2x at 2-4 nodes,
-#: the vectorized path wins from 8 nodes up on every paper workload).
+#: arrays) is a fixed cost amortized over the nodes stepped per window, and
+#: it wins from 8 nodes up on every paper workload.  Below that the choice
+#: no longer shows: on the 72 paper-policy cells at sizes 2/4, alternating
+#: in-process passes measured scalar 2.47 / 2.41 / 2.30 s against
+#: vectorized 2.40 / 2.36 / 2.33 s with identical results (the ~2x scalar
+#: win once measured there predates the stepper rewrite).  Kept because
+#: it puts the executable specification on the default path of small
+#: runs; see ROADMAP for removing it.
 AUTO_VECTORIZE_MIN_NODES = 8
 
 
@@ -127,8 +131,8 @@ class ClusterConfig:
             the scalar reference path (``vectorized=False``), which is
             kept for differential testing and benchmarking.  The default
             ``"auto"`` picks per cluster size: scalar below
-            :data:`AUTO_VECTORIZE_MIN_NODES` nodes (where the per-window
-            numpy setup costs more than it saves), vectorized otherwise.
+            :data:`AUTO_VECTORIZE_MIN_NODES` nodes (where the two measure
+            the same), vectorized otherwise.
         sampling: if set, node simulators follow this detailed/functional
             sampling schedule (the paper's future-work combination).
         check: run the causality sanitizer (None defers to ``REPRO_CHECK``

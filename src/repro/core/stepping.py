@@ -256,16 +256,15 @@ class ScalarStepper(_LocalStepper):
         heappush = heapq.heappush
         heappop = heapq.heappop
 
-        def push(node_id: int) -> None:
-            event_time = nodes[node_id].peek_time()
+        def push(node_id: int, event_time: Optional[SimTime]) -> None:
             sequences[node_id] += 1
             if event_time is None or event_time >= end:
                 return
             key = clocks[node_id].host_of(event_time)
             heappush(heap, (key, node_id, sequences[node_id]))
 
-        for node_id in range(len(nodes)):
-            push(node_id)
+        for node_id, node in enumerate(nodes):
+            push(node_id, node.peek_time())
         dirty = self.sim._dirty
         handled = 0
         while heap:
@@ -273,12 +272,11 @@ class ScalarStepper(_LocalStepper):
             if entry_seq != sequences[node_id]:
                 continue
             dirty.clear()
-            nodes[node_id].pop_and_handle()
+            push(node_id, nodes[node_id].pop_and_handle())
             handled += 1
-            push(node_id)
             for touched in dirty:
                 if touched != node_id:
-                    push(touched)
+                    push(touched, nodes[touched].peek_time())
         dirty.clear()
         return handled, (), self.span, max(clock.host_of(end) for clock in clocks)
 
@@ -457,13 +455,11 @@ class VectorStepper(_LocalStepper):
             _, node_id, entry_seq = heappop(heap)
             if entry_seq != sequences[node_id]:
                 continue
-            node = nodes[node_id]
             clock = clocks[node_id]
-            peek = node.queue.peek_time
-            handle = node.pop_and_handle
+            handle = nodes[node_id].pop_and_handle
             while True:
                 dirty.clear()
-                handle()
+                event_time = handle()
                 handled += 1
                 for touched in dirty:
                     if touched == node_id:
@@ -476,7 +472,6 @@ class VectorStepper(_LocalStepper):
                             heap,
                             (clocks[touched].host_of(t), touched, sequences[touched]),
                         )
-                event_time = peek()
                 if event_time is None or event_time >= end:
                     break
                 if not heap:

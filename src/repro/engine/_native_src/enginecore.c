@@ -19,10 +19,11 @@
  * Times beyond ``2**63 - 1`` ns (~292 simulated years) raise
  * ``OverflowError`` instead of silently wrapping.
  *
- * The queue also owns the fused window-drain loop (``drain``): the
- * pure-python twin lives in ``EventQueue.drain`` and both dispatch node
- * events by tag to the same four handler call sites, so the cluster
- * driver's ground-truth drain stepper is backend-agnostic.
+ * The queue also owns node-event dispatch: the fused window-drain loop
+ * (``drain``, ground-truth windows) and its single-event form
+ * (``handle_next``, interleaved windows).  The pure-python twins live in
+ * ``EventQueue`` and all four dispatch by tag to the same handler call
+ * sites, so every stepper of the cluster driver is backend-agnostic.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -56,7 +57,7 @@ static PyObject *kw_payload;   /* "payload" */
 static PyObject *kw_items;     /* "items" */
 static PyObject *portable_restore;  /* repro.engine.events._restore_portable_event */
 
-/* Node fast-path state: the drain loop inlines the hot handler bodies of
+/* Node fast-path state: the dispatch inlines the hot handler bodies of
  * ``repro.node.node.SimulatedNode`` (application stepping, request
  * interpretation, message accept, data-fragment delivery), so it needs
  * the request classes, the activity singletons, and a bundle of interned
@@ -96,6 +97,7 @@ static PyObject *str_compute_time;  /* "compute_time" */
 static PyObject *str_costs;         /* "costs" */
 static PyObject *str_send_cost;     /* "send_cost" */
 static PyObject *str_recv_cost;     /* "recv_cost" */
+static PyObject *str_advance_app;   /* "_advance_app" */
 static PyObject *str_interpret;     /* "_interpret" */
 static PyObject *str_do_send;       /* "_do_send" */
 static PyObject *str_on_fragment;   /* "_on_fragment" */
@@ -429,9 +431,9 @@ typedef struct {
     PyObject *event;  /* owned */
 } qentry;
 
-/* Resolved handler surface of the node this queue drains for.  Bound
- * lazily on the first ``drain`` call and kept until the queue is
- * cleared/restored (checkpoint restore rebinds ``node.stats`` /
+/* Resolved handler surface of the node this queue dispatches for.  Bound
+ * lazily on the first ``drain`` / ``handle_next`` call and kept until the
+ * queue is cleared/restored (checkpoint restore rebinds ``node.stats`` /
  * ``node.process`` / NIC internals, and always goes through
  * ``restore_events``, which drops the binding).  All fields are owned;
  * ``node == NULL`` means unbound.  The struct is iterated as a flat
@@ -455,7 +457,6 @@ typedef struct {
     PyObject *interpret;        /* bound node._interpret (fallback) */
     PyObject *do_send;          /* bound node._do_send (fallback) */
     PyObject *on_fragment;      /* bound node._on_fragment (fallback) */
-    PyObject *handle_timer;     /* bound node._handle_timer (fallback) */
     PyObject *process;          /* node.process (Process) */
     PyObject *gen_send;         /* bound process._generator.send */
     PyObject *nic;              /* node.nic (NicModel) */
@@ -1285,12 +1286,12 @@ queue_pop_until(QueueObject *self, PyObject *limit_obj)
 }
 
 /* ------------------------------------------------------------------ */
-/* The fused window drain                                             */
+/* Node-event dispatch: the fused window drain and its one-event form  */
 /* ------------------------------------------------------------------ */
 
-/* Per-drain counter accumulator: the python reference bumps the node's
- * stats before each handler call, but nothing reads them mid-drain, so
- * one deferred add per counter at drain exit (error paths included) is
+/* Per-call counter accumulator: the python reference bumps the node's
+ * stats before each handler call, but nothing reads them mid-call, so
+ * one deferred add per counter at exit (error paths included) is
  * observationally identical.  Python-fallback handlers do their own
  * accounting, so C increments happen only on fully inlined paths. */
 typedef struct {
@@ -2251,8 +2252,9 @@ fail:
     return NULL;
 }
 
-/* Inlined exact-(src, tag) ``NicModel.match``; wildcard requests and
- * subclassed Recv objects fall back to the python scan (*used = 0). */
+/* Inlined exact-(src, tag) ``NicModel.match``, emptied-queue deletion
+ * included; wildcard requests and subclassed Recv objects fall back to
+ * the python scan (*used = 0). */
 static PyObject *
 match_fast(NodeCtx *ctx, PyObject *request, int *used)
 {
@@ -2289,18 +2291,20 @@ match_fast(NodeCtx *ctx, PyObject *request, int *used)
     if (key == NULL)
         return NULL;
     PyObject *dq = PyDict_GetItemWithError(ctx->mailbox, key);
-    Py_DECREF(key);
-    if (dq == NULL) {
+    Py_ssize_t queued = dq != NULL ? PyObject_Size(dq) : 0;
+    if (queued <= 0) {
+        Py_DECREF(key);
         if (PyErr_Occurred())
             return NULL;
         Py_RETURN_NONE;
     }
-    int truth = PyObject_IsTrue(dq);
-    if (truth < 0)
-        return NULL;
-    if (!truth)
-        Py_RETURN_NONE;
     PyObject *entry = PyObject_CallMethodObjArgs(dq, str_popleft, NULL);
+    /* An emptied queue leaves the dict (collectives tag every message
+     * uniquely, so kept keys would grow with the message count). */
+    if (entry != NULL && queued == 1 &&
+        PyDict_DelItem(ctx->mailbox, key) < 0)
+        Py_CLEAR(entry);
+    Py_DECREF(key);
     if (entry == NULL)
         return NULL;
     PyObject *msg;
@@ -2722,8 +2726,7 @@ ctx_bind(QueueObject *q, PyObject *node)
         goto fail;
     if ((c.interpret = PyObject_GetAttr(node, str_interpret)) == NULL ||
         (c.do_send = PyObject_GetAttr(node, str_do_send)) == NULL ||
-        (c.on_fragment = PyObject_GetAttr(node, str_on_fragment)) == NULL ||
-        (c.handle_timer = PyObject_GetAttr(node, str_handle_timer)) == NULL)
+        (c.on_fragment = PyObject_GetAttr(node, str_on_fragment)) == NULL)
         goto fail;
     ctx_release(q);
     Py_INCREF(node);
@@ -2741,146 +2744,162 @@ fail:
     return -1;
 }
 
-/* Generic dispatch drain: calls the node's python handlers per event.
- * Used for nodes that do not expose the full SimulatedNode surface
- * (duck-typed test doubles, foreign queue wiring). */
-static PyObject *
-drain_generic(QueueObject *self, long long end, PyObject *node)
+/* What one ``drain`` / ``handle_next`` call dispatches through: the
+ * inlined handlers over the bound surface (``q->ctx``), or — for nodes
+ * that do not expose the full SimulatedNode surface (duck-typed test
+ * doubles, foreign queue wiring) — the node's python handlers, fetched
+ * per call.  References are owned unless noted. */
+typedef struct {
+    PyObject *node;           /* borrowed from the caller */
+    int bound;                /* dispatch through q->ctx */
+    PyObject *emit_hook;
+    PyObject *activity_hook;  /* bound only */
+    PyObject *stats;          /* generic only */
+    PyObject *advance;        /* generic only: node._advance_app */
+    PyObject *on_fragment;    /* generic only: node._on_fragment */
+    DrainAcc acc;
+} Dispatch;
+
+/* Flush the deferred counters and release what ``dispatch_begin`` took.
+ * Runs on error paths too (the pending exception is preserved). */
+static void
+dispatch_end(QueueObject *q, Dispatch *d)
 {
-    PyObject *stats = PyObject_GetAttrString(node, "stats");
-    if (stats == NULL)
-        return NULL;
-    PyObject *advance = PyObject_GetAttrString(node, "_advance_app");
-    if (advance == NULL) {
-        Py_DECREF(stats);
-        return NULL;
+    if (d->bound)
+        acc_flush(q->ctx.stats, q->ctx.nic_stats, &d->acc);
+    else if (d->stats != NULL)
+        acc_flush(d->stats, NULL, &d->acc);
+    q->in_drain -= 1;
+    if (q->ctx_drop_pending && !q->in_drain) {
+        q->ctx_drop_pending = 0;
+        ctx_release(q);
     }
-    PyObject *on_fragment = PyObject_GetAttrString(node, "_on_fragment");
-    if (on_fragment == NULL) {
-        Py_DECREF(stats);
-        Py_DECREF(advance);
-        return NULL;
-    }
-    PyObject *emit_hook = PyObject_GetAttrString(node, "emit_hook");
-    if (emit_hook == NULL) {
-        Py_DECREF(stats);
-        Py_DECREF(advance);
-        Py_DECREF(on_fragment);
-        return NULL;
-    }
+    Py_XDECREF(d->emit_hook);
+    Py_XDECREF(d->activity_hook);
+    Py_XDECREF(d->stats);
+    Py_XDECREF(d->advance);
+    Py_XDECREF(d->on_fragment);
+}
 
-    long long handled = 0;
-    DrainAcc acc = {0};
-    PyObject *result = NULL;
-    PyObject *next_time = NULL;
+static int
+dispatch_begin(QueueObject *q, PyObject *node, Dispatch *d)
+{
+    memset(d, 0, sizeof *d);
+    d->node = node;
+    d->bound = q->ctx.node == node || ctx_bind(q, node) == 0;
+    q->in_drain += 1;
+    /* The driver re-installs emit/activity hooks per run, and a node can
+     * in principle be reused across runs, so the two hooks are re-read
+     * on every call instead of cached on the binding. */
+    if ((d->emit_hook = PyObject_GetAttr(node, str_emit_hook)) == NULL)
+        goto fail;
+    if (d->bound) {
+        d->activity_hook = PyObject_GetAttr(node, str_activity_hook);
+        if (d->activity_hook == NULL)
+            goto fail;
+    }
+    else if ((d->stats = PyObject_GetAttr(node, str_stats)) == NULL ||
+             (d->advance = PyObject_GetAttr(node, str_advance_app)) == NULL ||
+             (d->on_fragment = PyObject_GetAttr(node, str_on_fragment)) == NULL)
+        goto fail;
+    return 0;
 
-    for (;;) {
-        /* Handlers re-enter the queue (schedule, cancel, compact), so all
-         * heap state is re-read from ``self`` on every iteration and the
-         * entry is fully popped before its handler runs. */
-        if (drop_dead(self) < 0)
-            goto done;
-        if (self->n == 0) {
-            next_time = Py_None;
-            Py_INCREF(next_time);
-            break;
+fail:
+    dispatch_end(q, d);
+    return -1;
+}
+
+static inline int
+tag_is(PyObject *tag, PyObject *interned)
+{
+    return tag == interned ||
+           (PyUnicode_Check(tag) && PyUnicode_Compare(tag, interned) == 0);
+}
+
+/* ``handler(time, payload)`` for its effects only.  Returns 0, or -1
+ * with the exception set. */
+static int
+call_timed(PyObject *handler, long long time, PyObject *payload)
+{
+    PyObject *time_obj = PyLong_FromLongLong(time);
+    if (time_obj == NULL)
+        return -1;
+    PyObject *result = PyObject_CallFunctionObjArgs(handler, time_obj,
+                                                    payload, NULL);
+    Py_DECREF(time_obj);
+    if (result == NULL)
+        return -1;
+    Py_DECREF(result);
+    return 0;
+}
+
+/* Dispatch one popped entry by tag — the single statement of the
+ * ``"app-wake"`` / ``"emit"`` / ``"delivery"`` / timer chain in this
+ * module (python twin: ``EventQueue.handle_next``).  Consumes the
+ * entry's event reference.  Handlers re-enter the queue (schedule,
+ * cancel, compact), so the entry is fully popped before this runs and
+ * callers re-read all heap state from the queue afterwards. */
+static int
+dispatch_event(QueueObject *q, Dispatch *d, qentry entry)
+{
+    PyObject *event = entry.event;
+    PyObject *tag, *payload;  /* borrowed: the event keeps them alive */
+    if (Event_CheckExact(event)) {
+        EventObject *native = (EventObject *)event;
+        tag = native->tag;
+        payload = native->payload;
+    }
+    else {
+        tag = PyObject_GetAttr(event, kw_tag);
+        payload = tag != NULL ? PyObject_GetAttr(event, kw_payload) : NULL;
+        Py_XDECREF(tag);
+        Py_XDECREF(payload);
+        if (payload == NULL) {
+            Py_DECREF(event);
+            return -1;
         }
-        if (self->heap[0].time >= end) {
-            next_time = PyLong_FromLongLong(self->heap[0].time);
-            if (next_time == NULL)
-                goto done;
-            break;
+    }
+    int rc = -1;
+    if (tag_is(tag, s_app_wake)) {
+        if (d->bound)
+            rc = handle_app_wake(q, d->activity_hook, entry.time, payload,
+                                 &d->acc);
+        else {
+            d->acc.wakeups += 1;
+            rc = call_timed(d->advance, entry.time, payload);
         }
-        qentry entry = heap_pop_root(self);
-        self->live -= 1;
-        handled += 1;
-        PyObject *event = entry.event;  /* owned */
-        PyObject *tag, *payload, *time_obj;
-        if (Event_CheckExact(event)) {
-            EventObject *native = (EventObject *)event;
-            tag = native->tag;
-            payload = native->payload;
-            time_obj = NULL;
+    }
+    else if (tag_is(tag, s_emit)) {
+        if (d->emit_hook == Py_None) {
+            PyObject *name = PyObject_GetAttr(d->node, str_name);
+            PyErr_Format(PyExc_RuntimeError,
+                         "%V: emit event without emit_hook", name, "node");
+            Py_XDECREF(name);
         }
         else {
-            tag = PyObject_GetAttrString(event, "tag");
-            if (tag == NULL) {
-                Py_DECREF(event);
-                goto done;
-            }
-            Py_DECREF(tag);  /* borrowed below; the event keeps it alive */
-            payload = PyObject_GetAttrString(event, "payload");
-            if (payload == NULL) {
-                Py_DECREF(event);
-                goto done;
-            }
-            Py_DECREF(payload);
-            time_obj = NULL;
+            PyObject *result = PyObject_CallFunctionObjArgs(
+                d->emit_hook, d->node, payload, NULL);
+            rc = result == NULL ? -1 : 0;
+            Py_XDECREF(result);
         }
-        PyObject *call_result;
-        if (tag == s_app_wake ||
-            (PyUnicode_Check(tag) && PyUnicode_Compare(tag, s_app_wake) == 0)) {
-            acc.wakeups += 1;
-            time_obj = PyLong_FromLongLong(entry.time);
-            if (time_obj == NULL) {
-                Py_DECREF(event);
-                goto done;
-            }
-            call_result = PyObject_CallFunctionObjArgs(advance, time_obj,
-                                                       payload, NULL);
-            Py_DECREF(time_obj);
-        }
-        else if (tag == s_emit ||
-                 (PyUnicode_Check(tag) && PyUnicode_Compare(tag, s_emit) == 0)) {
-            if (emit_hook == Py_None) {
-                PyObject *name = PyObject_GetAttrString(node, "name");
-                PyErr_Format(PyExc_RuntimeError, "%V: emit event without emit_hook",
-                             name, "node");
-                Py_XDECREF(name);
-                Py_DECREF(event);
-                goto done;
-            }
-            call_result = PyObject_CallFunctionObjArgs(emit_hook, node,
-                                                       payload, NULL);
-        }
-        else if (tag == s_delivery ||
-                 (PyUnicode_Check(tag) && PyUnicode_Compare(tag, s_delivery) == 0)) {
-            time_obj = PyLong_FromLongLong(entry.time);
-            if (time_obj == NULL) {
-                Py_DECREF(event);
-                goto done;
-            }
-            call_result = PyObject_CallFunctionObjArgs(on_fragment, time_obj,
-                                                       payload, NULL);
-            Py_DECREF(time_obj);
-        }
-        else {
-            time_obj = PyLong_FromLongLong(entry.time);
-            if (time_obj == NULL) {
-                Py_DECREF(event);
-                goto done;
-            }
-            call_result = PyObject_CallMethod(node, "_handle_timer", "OOO",
-                                              tag, payload, time_obj);
-            Py_DECREF(time_obj);
-        }
-        Py_DECREF(event);
-        if (call_result == NULL)
-            goto done;
-        Py_DECREF(call_result);
     }
-
-    result = Py_BuildValue("LN", handled, next_time);
-    next_time = NULL;
-
-done:
-    acc_flush(stats, NULL, &acc);
-    Py_DECREF(stats);
-    Py_DECREF(advance);
-    Py_DECREF(on_fragment);
-    Py_DECREF(emit_hook);
-    Py_XDECREF(next_time);
-    return result;
+    else if (tag_is(tag, s_delivery))
+        rc = d->bound ? handle_delivery(q, d->activity_hook, entry.time,
+                                        payload, &d->acc)
+                      : call_timed(d->on_fragment, entry.time, payload);
+    else {
+        PyObject *time_obj = PyLong_FromLongLong(entry.time);
+        PyObject *result =
+            time_obj == NULL
+                ? NULL
+                : PyObject_CallMethodObjArgs(d->node, str_handle_timer, tag,
+                                             payload, time_obj, NULL);
+        Py_XDECREF(time_obj);
+        rc = result == NULL ? -1 : 0;
+        Py_XDECREF(result);
+    }
+    Py_DECREF(event);
+    return rc;
 }
 
 static PyObject *
@@ -2893,134 +2912,53 @@ queue_drain(QueueObject *self, PyObject *args)
     long long end = PyLong_AsLongLong(end_obj);
     if (end == -1 && PyErr_Occurred())
         return NULL;
-    if (self->ctx.node != node && ctx_bind(self, node) < 0)
-        return drain_generic(self, end, node);
-
-    /* The driver re-installs emit/activity hooks per run, and a node can
-     * in principle be reused across runs, so the two hooks are re-read
-     * on every drain instead of cached on the binding. */
-    PyObject *emit_hook = PyObject_GetAttr(node, str_emit_hook);
-    if (emit_hook == NULL)
+    Dispatch d;
+    if (dispatch_begin(self, node, &d) < 0)
         return NULL;
-    PyObject *activity_hook = PyObject_GetAttr(node, str_activity_hook);
-    if (activity_hook == NULL) {
-        Py_DECREF(emit_hook);
-        return NULL;
-    }
-
     long long handled = 0;
-    DrainAcc acc = {0};
     PyObject *result = NULL;
-    PyObject *next_time = NULL;
-    self->in_drain += 1;
-
-    for (;;) {
-        /* Handlers re-enter the queue (schedule, cancel, compact), so all
-         * heap state is re-read from ``self`` on every iteration and the
-         * entry is fully popped before its handler runs. */
-        if (drop_dead(self) < 0)
-            goto done;
-        if (self->n == 0) {
-            next_time = Py_None;
-            Py_INCREF(next_time);
-            break;
-        }
-        if (self->heap[0].time >= end) {
-            next_time = PyLong_FromLongLong(self->heap[0].time);
-            if (next_time == NULL)
-                goto done;
+    while (drop_dead(self) == 0) {
+        if (self->n == 0 || self->heap[0].time >= end) {
+            PyObject *next_time = queue_peek_time(self, NULL);
+            if (next_time != NULL)
+                result = Py_BuildValue("LN", handled, next_time);
             break;
         }
         qentry entry = heap_pop_root(self);
         self->live -= 1;
         handled += 1;
-        PyObject *event = entry.event;  /* owned */
-        PyObject *tag, *payload;
-        if (Event_CheckExact(event)) {
-            EventObject *native = (EventObject *)event;
-            tag = native->tag;
-            payload = native->payload;
-        }
-        else {
-            tag = PyObject_GetAttrString(event, "tag");
-            if (tag == NULL) {
-                Py_DECREF(event);
-                goto done;
-            }
-            Py_DECREF(tag);  /* borrowed below; the event keeps it alive */
-            payload = PyObject_GetAttrString(event, "payload");
-            if (payload == NULL) {
-                Py_DECREF(event);
-                goto done;
-            }
-            Py_DECREF(payload);
-        }
-        int rc;
-        if (tag == s_app_wake ||
-            (PyUnicode_Check(tag) && PyUnicode_Compare(tag, s_app_wake) == 0))
-            rc = handle_app_wake(self, activity_hook, entry.time, payload,
-                                 &acc);
-        else if (tag == s_emit ||
-                 (PyUnicode_Check(tag) && PyUnicode_Compare(tag, s_emit) == 0)) {
-            if (emit_hook == Py_None) {
-                PyObject *name = PyObject_GetAttrString(node, "name");
-                PyErr_Format(PyExc_RuntimeError,
-                             "%V: emit event without emit_hook", name, "node");
-                Py_XDECREF(name);
-                Py_DECREF(event);
-                goto done;
-            }
-            PyObject *call_result = PyObject_CallFunctionObjArgs(emit_hook,
-                                                                 node, payload,
-                                                                 NULL);
-            if (call_result != NULL) {
-                Py_DECREF(call_result);
-                rc = 0;
-            }
-            else
-                rc = -1;
-        }
-        else if (tag == s_delivery ||
-                 (PyUnicode_Check(tag) &&
-                  PyUnicode_Compare(tag, s_delivery) == 0))
-            rc = handle_delivery(self, activity_hook, entry.time, payload,
-                                 &acc);
-        else {
-            PyObject *time_obj = PyLong_FromLongLong(entry.time);
-            if (time_obj == NULL) {
-                Py_DECREF(event);
-                goto done;
-            }
-            PyObject *call_result = PyObject_CallFunctionObjArgs(
-                self->ctx.handle_timer, tag, payload, time_obj, NULL);
-            Py_DECREF(time_obj);
-            if (call_result != NULL) {
-                Py_DECREF(call_result);
-                rc = 0;
-            }
-            else
-                rc = -1;
-        }
-        Py_DECREF(event);
-        if (rc < 0)
-            goto done;
+        if (dispatch_event(self, &d, entry) < 0)
+            break;
     }
-
-    result = Py_BuildValue("LN", handled, next_time);
-    next_time = NULL;
-
-done:
-    if (self->ctx.stats != NULL)
-        acc_flush(self->ctx.stats, self->ctx.nic_stats, &acc);
-    self->in_drain -= 1;
-    if (self->ctx_drop_pending && !self->in_drain) {
-        self->ctx_drop_pending = 0;
-        ctx_release(self);
-    }
-    Py_DECREF(emit_hook);
-    Py_DECREF(activity_hook);
-    Py_XDECREF(next_time);
+    dispatch_end(self, &d);
     return result;
+}
+
+/* ``drain`` for exactly one event, whatever its time: the interleaving
+ * steppers' per-event entry (``SimulatedNode.pop_and_handle``).  Like
+ * ``pop()`` + python dispatch, a handler's exception leaves the event
+ * consumed and the queue consistent. */
+static PyObject *
+queue_handle_next(QueueObject *self, PyObject *node)
+{
+    if (drop_dead(self) < 0)
+        return NULL;
+    if (self->n == 0) {
+        PyErr_SetString(PyExc_IndexError, "pop from empty EventQueue");
+        return NULL;
+    }
+    qentry entry = heap_pop_root(self);
+    self->live -= 1;
+    Dispatch d;
+    if (dispatch_begin(self, node, &d) < 0) {
+        Py_DECREF(entry.event);
+        return NULL;
+    }
+    int rc = dispatch_event(self, &d, entry);
+    dispatch_end(self, &d);
+    if (rc < 0)
+        return NULL;
+    return queue_peek_time(self, NULL);
 }
 
 static PyGetSetDef queue_getset[] = {
@@ -3058,6 +2996,9 @@ static PyMethodDef queue_methods[] = {
     {"drain", (PyCFunction)queue_drain, METH_VARARGS,
      "Pop and dispatch every node event before *end*; returns "
      "(handled, next_event_time)."},
+    {"handle_next", (PyCFunction)queue_handle_next, METH_O,
+     "Pop and dispatch the next live event of *node*; returns the next "
+     "event time (IndexError when empty)."},
     {"clear", (PyCFunction)queue_clear, METH_NOARGS,
      "Drop all events (used when tearing a simulation down)."},
     {"live_events", (PyCFunction)queue_live_events, METH_NOARGS,
@@ -3138,6 +3079,7 @@ PyInit__native(void)
     str_costs = PyUnicode_InternFromString("costs");
     str_send_cost = PyUnicode_InternFromString("send_cost");
     str_recv_cost = PyUnicode_InternFromString("recv_cost");
+    str_advance_app = PyUnicode_InternFromString("_advance_app");
     str_interpret = PyUnicode_InternFromString("_interpret");
     str_do_send = PyUnicode_InternFromString("_do_send");
     str_on_fragment = PyUnicode_InternFromString("_on_fragment");
@@ -3224,7 +3166,7 @@ PyInit__native(void)
         !str_activity_hook || !str_activity || !str_compute_memo ||
         !str_send_cost_memo || !str_recv_cost_memo || !str_cpu ||
         !str_compute_time || !str_costs || !str_send_cost || !str_recv_cost ||
-        !str_interpret || !str_do_send || !str_on_fragment ||
+        !str_advance_app || !str_interpret || !str_do_send || !str_on_fragment ||
         !str_handle_timer || !str_blocked_recv || !str_blocked_since ||
         !str_finished || !str_app_finish_time || !str_app_result ||
         !str_result || !str_matches || !str_ops || !str_duration ||

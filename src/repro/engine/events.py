@@ -274,19 +274,51 @@ class EventQueue:
         self._live -= 1
         return event
 
+    def handle_next(self, node: Any) -> Optional[SimTime]:
+        """Pop the earliest live event and dispatch it on *node*.
+
+        This is the per-event entry of the interleaving steppers (behind
+        ``SimulatedNode.pop_and_handle``) and the statement of the tag
+        dispatch; it lives on the queue for the reason :meth:`drain`
+        does — each backend runs it against its own heap, and the
+        compiled twin (``repro.engine._native.EventQueue.handle_next``)
+        reaches its inlined handlers from here.  *node* supplies the tag
+        handlers (``_advance_app`` / ``emit_hook`` / ``_on_fragment`` /
+        ``_handle_timer``) and the wakeup counter; it is typed loosely to
+        keep the engine layer free of node imports.
+
+        Returns what ``peek_time()`` returns afterwards.  A handler's
+        exception propagates with the event consumed.
+
+        Raises:
+            IndexError: if the queue is empty.
+        """
+        event = self.pop()
+        tag = event.tag
+        if tag == "app-wake":
+            node.stats.app_wakeups += 1
+            node._advance_app(event.time, event.payload)
+        elif tag == "emit":
+            if node.emit_hook is None:
+                raise RuntimeError(f"{node.name}: emit event without emit_hook")
+            node.emit_hook(node, event.payload)
+        elif tag == "delivery":
+            node._on_fragment(event.time, event.payload)
+        else:
+            node._handle_timer(tag, event.payload, event.time)
+        return self.peek_time()
+
     def drain(self, end: SimTime, node: Any) -> tuple[int, Optional[SimTime]]:
         """Pop and dispatch every node event before *end* in one pass.
 
         This is the fused inner loop of the driver's ground-truth drain
         stepper: semantically identical to ``while peek_time() < end:
-        node.pop_and_handle()`` with the peek/pop pair collapsed into a
-        single heap access per event.  It lives on the queue (rather than
-        the node) because both backends implement it against their own
-        heap representation — the compiled twin is
-        ``repro.engine._native.EventQueue.drain``.  *node* supplies the
-        tag handlers (``_advance_app`` / ``emit_hook`` / ``_on_fragment``
-        / ``_handle_timer``) and the wakeup counter; it is typed loosely
-        to keep the engine layer free of node imports.
+        handle_next(node)``, with the peek/pop pair collapsed into a
+        single heap access per event and the handlers fetched once per
+        window, which is why the dispatch is restated here instead of
+        called.  It lives on the queue (rather than the node) because
+        both backends implement it against their own heap representation
+        — the compiled twin is ``repro.engine._native.EventQueue.drain``.
 
         Returns ``(events handled, next event time)``, the second element
         being exactly what ``peek_time()`` would return afterwards.

@@ -270,28 +270,38 @@ class NicModel:
         return [message for _, message in entries]
 
     def match(self, request: Recv) -> Optional[Message]:
-        """Pop the first mailbox message satisfying *request* (FIFO)."""
+        """Pop the first mailbox message satisfying *request* (FIFO).
+
+        A queue leaves the dict with its last message: collectives tag
+        every message uniquely, so kept keys would grow with the message
+        count (the compiled ``match_fast`` deletes the same way).
+        """
         src, tag = request.src, request.tag
+        mailbox = self._mailbox
         if src != ANY_SOURCE and tag != ANY_TAG:
-            exact = self._mailbox.get((src, tag))
-            if exact:
-                return exact.popleft()[1]
+            best_key = (src, tag)
+            best = mailbox.get(best_key)
+        else:
+            best = None
+            best_seq = 0
+            for key, queue in mailbox.items():
+                # Empty queues only arrive in snapshots written before
+                # emptied queues were deleted.
+                if not queue:
+                    continue
+                if src != ANY_SOURCE and src != key[0]:
+                    continue
+                if tag != ANY_TAG and tag != key[1]:
+                    continue
+                seq = queue[0][0]
+                if best is None or seq < best_seq:
+                    best, best_seq, best_key = queue, seq, key
+        if not best:
             return None
-        best: Optional[deque[tuple[int, Message]]] = None
-        best_seq = 0
-        for (queue_src, queue_tag), queue in self._mailbox.items():
-            if not queue:
-                continue
-            if src != ANY_SOURCE and src != queue_src:
-                continue
-            if tag != ANY_TAG and tag != queue_tag:
-                continue
-            seq = queue[0][0]
-            if best is None or seq < best_seq:
-                best, best_seq = queue, seq
-        if best is None:
-            return None
-        return best.popleft()[1]
+        message = best.popleft()[1]
+        if not best:
+            del mailbox[best_key]
+        return message
 
     def pending_reassemblies(self) -> int:
         """Messages with fragments still in flight (visibility for tests)."""

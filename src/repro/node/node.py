@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
-from repro.engine.events import Event, EventQueue
+from repro.engine.events import EventQueue
 from repro.engine.process import Process, ProcessExit
 from repro.engine.units import SimTime
 from repro.network.packet import Packet
@@ -142,21 +142,15 @@ class SimulatedNode:
         """Earliest pending local event time, or None when quiescent."""
         return self.queue.peek_time()
 
-    def pop_and_handle(self) -> Event:
-        """Pop the earliest local event and process it; returns the event."""
-        event = self.queue.pop()
-        if event.tag == "app-wake":
-            self.stats.app_wakeups += 1
-            self._advance_app(event.time, event.payload)
-        elif event.tag == "emit":
-            if self.emit_hook is None:
-                raise RuntimeError(f"{self.name}: emit event without emit_hook")
-            self.emit_hook(self, event.payload)
-        elif event.tag == "delivery":
-            self._on_fragment(event.time, event.payload)
-        else:
-            self._handle_timer(event.tag, event.payload, event.time)
-        return event
+    def pop_and_handle(self) -> Optional[SimTime]:
+        """Pop the earliest local event and process it.
+
+        The dispatch lives on the queue
+        (:meth:`repro.engine.events.EventQueue.handle_next`) so each
+        backend runs it against its own heap and handlers.  Returns what
+        :meth:`peek_time` returns afterwards.
+        """
+        return self.queue.handle_next(self)
 
     def _handle_timer(self, tag: str, payload: Any, now: SimTime) -> None:
         """Dispatch the rare event tags (transport timers)."""
@@ -182,9 +176,9 @@ class SimulatedNode:
         Semantically identical to ``while peek_time() < end:
         pop_and_handle()``, with the peek/pop pair fused into a single
         heap access per event — this is the inner loop of the driver's
-        ground-truth drain stepper.  The loop itself lives on the queue
-        (:meth:`repro.engine.events.EventQueue.drain`) so each backend
-        runs it against its own heap representation.  Returns ``(events
+        ground-truth drain stepper; like the single-event form it lives
+        on the queue (:meth:`repro.engine.events.EventQueue.drain`) so
+        each backend runs it against its own heap.  Returns ``(events
         handled, next event time)``, the second element being exactly
         what ``peek_time()`` would return afterwards.
         """

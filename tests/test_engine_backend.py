@@ -11,10 +11,15 @@ contract:
   runs share ``.repro_cache/`` entries across backends (locked by the
   same golden key the service-workload suite pins),
 * settings carrying a backend pickle across the farm pool boundary,
-* snapshots captured under one backend restore under the other,
-* a Hypothesis differential: the native ``EventQueue`` pops the exact
-  same sequence as the pure-python reference under interleaved
-  schedule/cancel/pop/compaction traffic.
+* interleaved (``Q > T``) windows — service fan-out, adaptive quanta,
+  tracing, recovery timers, a raising application — match scalar-python
+  on both drivers, and snapshots captured under one backend restore
+  under the other,
+* a Hypothesis differential: the native ``EventQueue`` pops and
+  dispatches the exact same sequence as the pure-python reference under
+  interleaved schedule/cancel/pop/handle_next/compaction traffic,
+* hygiene of the compiled dispatch: the NIC mailbox it leaves behind,
+  and no reference or memory growth over 100k dispatched events.
 
 Everything that needs the compiled module skips cleanly when it is not
 importable — the pure-python path is the reference and must stand alone.
@@ -23,8 +28,12 @@ importable — the pure-python path is the reference and must stand alone.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import pickle
+import sys
+import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,7 +51,9 @@ from repro.engine.backend import (
     resolve_backend,
 )
 from repro.engine.events import EventQueue as PyEventQueue
+from repro.engine.process import ProcessError
 from repro.engine.units import MICROSECOND
+from repro.faults.plan import load_plan
 from repro.harness.configs import ground_truth_policy
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.parallel import (
@@ -53,7 +64,12 @@ from repro.harness.parallel import (
 )
 from repro.network import NetworkController, PAPER_NETWORK
 from repro.node import ComputeTime, Recv, Send, SimulatedNode
+from repro.node.requests import ANY_SOURCE, ANY_TAG
+from repro.node.transport import RecoveryConfig, TransportConfig
+from repro.service import ArrivalProfile, ServiceWorkload
 from repro.workloads import EpWorkload
+
+from tests.test_cluster_vectorized import POLICIES, WORKLOADS, _assert_equivalent
 
 US = MICROSECOND
 
@@ -72,10 +88,10 @@ def _isolate_backend_env(monkeypatch):
     monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
 
 
-def pingpong_apps(rounds=12, nbytes=256):
+def pingpong_apps(rounds=12, nbytes=256, payload=None):
     def pinger():
         for _ in range(rounds):
-            yield Send(dst=1, nbytes=nbytes)
+            yield Send(dst=1, nbytes=nbytes, payload=payload)
             yield Recv(src=1)
             yield ComputeTime(30 * US)
         return "ping"
@@ -83,28 +99,39 @@ def pingpong_apps(rounds=12, nbytes=256):
     def ponger():
         for _ in range(rounds):
             yield Recv(src=0)
-            yield Send(dst=0, nbytes=nbytes)
+            yield Send(dst=0, nbytes=nbytes, payload=payload)
         return "pong"
 
     return [pinger(), ponger()]
 
 
-def run_pingpong(backend, *, checkpoint_dir=None, collect_snaps=False):
-    nodes = [SimulatedNode(i, app) for i, app in enumerate(pingpong_apps())]
-    controller = NetworkController(2, PAPER_NETWORK(2))
+def service_apps(size, requests=200):
+    profile = ArrivalProfile(rate_per_sec=400_000.0, num_requests=requests)
+    return ServiceWorkload(profile=profile, seed=5).build_apps(size)
+
+
+def build_sim(
+    backend, *, apps=None, quantum=10 * US, vectorized="auto", checkpoint_dir=None
+):
+    """A simulator stepping interleaved windows (every quantum used here
+    exceeds the network's ~1 us minimum latency)."""
+    apps = pingpong_apps() if apps is None else apps
+    nodes = [SimulatedNode(i, app) for i, app in enumerate(apps)]
+    controller = NetworkController(len(nodes), PAPER_NETWORK(len(nodes)))
     checkpoint = (
         CheckpointConfig(directory=str(checkpoint_dir), every_quanta=1)
         if checkpoint_dir is not None
         else None
     )
-    config = ClusterConfig(seed=11, backend=backend, checkpoint=checkpoint)
-    sim = ClusterSimulator(
-        nodes, controller, FixedQuantumPolicy(10 * US), config
+    config = ClusterConfig(
+        seed=11, backend=backend, vectorized=vectorized, checkpoint=checkpoint
     )
-    snaps = []
-    if collect_snaps:
-        sim.checkpoint_sink = snaps.append
-    return sim.run(), sim, snaps
+    return ClusterSimulator(nodes, controller, FixedQuantumPolicy(quantum), config)
+
+
+def run_pingpong(backend):
+    sim = build_sim(backend)
+    return sim.run(), sim
 
 
 # --------------------------------------------------------------------- #
@@ -118,11 +145,8 @@ class TestResolution:
             resolve_backend("cython")
 
     def test_cluster_config_backend_is_validated_at_build(self):
-        nodes = [SimulatedNode(i, app) for i, app in enumerate(pingpong_apps())]
-        controller = NetworkController(2, PAPER_NETWORK(2))
-        config = ClusterConfig(seed=11, backend="fortran")
         with pytest.raises(ValueError, match="backend must be one of"):
-            ClusterSimulator(nodes, controller, FixedQuantumPolicy(US), config)
+            build_sim("fortran")
 
     def test_python_is_always_available(self):
         resolved = resolve_backend("python")
@@ -168,7 +192,7 @@ class TestResolution:
 class TestForcedFallbackRuns:
     def test_auto_run_degrades_cleanly_and_surfaces_reason(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-        result, sim, _ = run_pingpong("auto")
+        result, sim = run_pingpong("auto")
         assert result.completed
         assert sim.backend == "python"
         assert "REPRO_NO_NATIVE" in (sim.backend_fallback_reason or "")
@@ -268,54 +292,145 @@ class TestPoolBoundary:
 # --------------------------------------------------------------------- #
 
 
+def fixed_1000us():
+    return FixedQuantumPolicy(1000 * US)
+
+
+IS_APPS = WORKLOADS["IS"]
+DYN_1_1000US = POLICIES["dyn 1.03"]  # dyn 1:1000 us, 1.03:0.02
+RECOVERY = TransportConfig(recovery=RecoveryConfig())
+
+#: Runs whose windows interleave (``Q > T``): the service fan-out the
+#: longest advertised runs use, and IS-8 under the paper's adaptive
+#: policy.  The recovery transport schedules the ``delack`` timer tag and,
+#: under loss, ``rto``.  (The service protocol counts stop sentinels and
+#: deadlocks on any backend when a retransmission reorders them, so loss
+#: is injected into IS only.)
+INTERLEAVED = {
+    "service": (service_apps, fixed_1000us, {}),
+    "service traced": (service_apps, fixed_1000us, {"trace": True}),
+    "service recovery": (service_apps, fixed_1000us, {"transport": RECOVERY}),
+    "IS": (IS_APPS, DYN_1_1000US, {}),
+    "IS traced": (IS_APPS, DYN_1_1000US, {"trace": True}),
+    "IS lossy recovery": (
+        IS_APPS,
+        DYN_1_1000US,
+        {"transport": RECOVERY, "faults": load_plan("lossy-1")},
+    ),
+}
+
+
+def small_service_apps():
+    return service_apps(8, requests=40)
+
+
 @needs_native
 class TestCrossBackend:
     def test_results_identical(self):
-        py, _, _ = run_pingpong("python")
-        nat, _, _ = run_pingpong("native")
+        py, _ = run_pingpong("python")
+        nat, _ = run_pingpong("native")
         assert dataclasses.asdict(py) == dataclasses.asdict(nat)
 
+    @pytest.mark.parametrize("case", INTERLEAVED)
+    def test_interleaved_windows_match_scalar_python(self, case):
+        """Backend x driver grid against scalar-python, on ``RunResult``
+        and the normalized trace stream."""
+        apps_factory, policy_factory, options = INTERLEAVED[case]
+        _assert_equivalent(apps_factory, 8, policy_factory, **options)
+
     @pytest.mark.parametrize(
-        "capture_backend,resume_backend",
-        [("python", "native"), ("native", "python")],
+        "capture_backend,resume_backend,apps_factory,quantum",
+        [
+            pytest.param("python", "native", pingpong_apps, 10 * US, id="python-native"),
+            pytest.param("native", "python", pingpong_apps, 10 * US, id="native-python"),
+            pytest.param(
+                "python", "native", small_service_apps, 100 * US,
+                id="python-native-service",
+            ),
+            pytest.param(
+                "native", "python", small_service_apps, 100 * US,
+                id="native-python-service",
+            ),
+        ],
     )
     def test_snapshots_restore_across_backends(
-        self, tmp_path, capture_backend, resume_backend
+        self, tmp_path, capture_backend, resume_backend, apps_factory, quantum
     ):
-        """A snapshot is backend-neutral: captured under one engine core,
-        it must resume under the other to the bit-identical result."""
-        reference, _, snaps = run_pingpong(
-            capture_backend, checkpoint_dir=tmp_path, collect_snaps=True
-        )
+        """A snapshot is backend-neutral: captured under one engine core
+        mid-run, it must resume under the other to the bit-identical
+        result."""
+
+        def build(backend):
+            return build_sim(
+                backend, apps=apps_factory(), quantum=quantum, checkpoint_dir=tmp_path
+            )
+
+        sim = build(capture_backend)
+        snaps = []
+        sim.checkpoint_sink = snaps.append
+        reference = sim.run()
         assert reference.completed and snaps
         for index in sorted({0, len(snaps) // 2, len(snaps) - 1}):
-            nodes = [
-                SimulatedNode(i, app) for i, app in enumerate(pingpong_apps())
-            ]
-            controller = NetworkController(2, PAPER_NETWORK(2))
-            config = ClusterConfig(
-                seed=11,
-                backend=resume_backend,
-                checkpoint=CheckpointConfig(
-                    directory=str(tmp_path), every_quanta=1
-                ),
-            )
-            sim = ClusterSimulator(
-                nodes, controller, FixedQuantumPolicy(10 * US), config
-            )
+            sim = build(resume_backend)
             sim.checkpoint_sink = lambda _snap: None
             restore_snapshot(sim, snaps[index])
             resumed = sim.run()
             assert dataclasses.asdict(resumed) == dataclasses.asdict(reference)
+
+    def test_application_exception_in_an_interleaved_window(self):
+        """A raising application surfaces the same error from the
+        compiled dispatch as from ``pop()`` + python dispatch, with the
+        event consumed and every queue in the same state."""
+
+        def apps():
+            def talker():
+                for _ in range(3):
+                    yield Send(dst=1, nbytes=256)
+                    yield Recv(src=1)
+                raise ValueError("boom after round 3")
+
+            def echo():
+                for _ in range(5):
+                    yield Recv(src=0)
+                    yield Send(dst=0, nbytes=256)
+
+            return [talker(), echo()]
+
+        outcomes = []
+        for backend in ("python", "native"):
+            for vectorized in (False, True):
+                sim = build_sim(backend, apps=apps(), vectorized=vectorized)
+                with pytest.raises(ProcessError) as raised:
+                    sim.run()
+                error = raised.value
+                # The wake that stepped the talker into its raise is gone
+                # and nothing replaced it.
+                assert len(sim.nodes[0].queue) == 0
+                outcomes.append(
+                    (
+                        str(error),
+                        repr(error.__cause__),
+                        [node.peek_time() for node in sim.nodes],
+                        [len(node.queue) for node in sim.nodes],
+                        [node.stats for node in sim.nodes],
+                    )
+                )
+        assert "boom after round 3" in outcomes[0][1]
+        assert all(outcome == outcomes[0] for outcome in outcomes[1:])
 
 
 # --------------------------------------------------------------------- #
 # EventQueue differential property
 # --------------------------------------------------------------------- #
 
+_TAGS = ("app-wake", "emit", "delivery", "t", "boom")
+
 _ops = st.lists(
     st.one_of(
-        st.tuples(st.just("schedule"), st.integers(min_value=0, max_value=500)),
+        st.tuples(
+            st.just("schedule"),
+            st.tuples(st.integers(min_value=0, max_value=500), st.sampled_from(_TAGS)),
+        ),
         st.tuples(
             st.just("schedule_many"),
             st.lists(
@@ -330,6 +445,7 @@ _ops = st.lists(
         st.tuples(
             st.just("pop_until"), st.integers(min_value=0, max_value=600)
         ),
+        st.tuples(st.just("handle_next"), st.just(0)),
     ),
     min_size=1,
     max_size=80,
@@ -340,20 +456,60 @@ def _fingerprint(event):
     return (event.time, event.tag, event.payload, event._seq, event.alive)
 
 
+class _Counter:
+    app_wakeups = 0
+
+
+class _DuckNode:
+    """The four handlers and the counter ``handle_next`` / ``drain``
+    dispatch to, and nothing else of ``SimulatedNode`` — so the native
+    queue cannot bind its inlined handlers and takes the generic path.
+    Deliveries re-enter the queue; unknown timer tags raise."""
+
+    name = "duck"
+
+    def __init__(self, queue, record):
+        self.queue_under_test = queue
+        self.record = record
+        self.stats = _Counter()
+        self.calls = []
+
+    def _advance_app(self, time, payload):
+        self.calls.append(("advance", time, payload))
+
+    def emit_hook(self, node, payload):
+        assert node is self
+        self.calls.append(("emit", payload))
+
+    def _on_fragment(self, time, payload):
+        self.calls.append(("fragment", time, payload))
+        self.record.append(
+            self.queue_under_test.schedule(time + 3, None, "t", payload)
+        )
+
+    def _handle_timer(self, tag, payload, time):
+        self.calls.append(("timer", tag, payload, time))
+        if tag == "boom":
+            raise ValueError(f"boom {payload}")
+
+
 @needs_native
 @settings(deadline=None, max_examples=60)
 @given(ops=_ops)
 def test_event_queue_differential(ops):
     """Python and native queues, driven in lockstep through interleaved
-    schedule/cancel/pop/compaction traffic, must agree on every pop (time,
-    tag, payload, sequence number), every length, and every dead count."""
+    schedule/cancel/pop/dispatch/compaction traffic, must agree on every
+    pop (time, tag, payload, sequence number), every dispatched handler
+    call and raised error, every length, and every dead count."""
     queues = (PyEventQueue(), backend_mod.queue_class("native")())
     live = ([], [])  # parallel records of scheduled events, same order
+    ducks = [_DuckNode(queue, record) for queue, record in zip(queues, live)]
     serial = 0
     for op, arg in ops:
         if op == "schedule":
+            time, tag = arg
             for queue, record in zip(queues, live):
-                record.append(queue.schedule(arg, None, "t", serial))
+                record.append(queue.schedule(time, None, tag, serial))
             serial += 1
         elif op == "schedule_many":
             items = [(time, serial + i) for i, time in enumerate(arg)]
@@ -400,8 +556,127 @@ def test_event_queue_differential(ops):
             for events, record in zip(drained, live):
                 for event in events:
                     record.remove(event)
+        elif op == "handle_next":
+            outcomes = []
+            for queue, record, duck in zip(queues, live, ducks):
+                head = queue.peek()
+                if head is not None:
+                    record.remove(head)
+                try:
+                    outcomes.append(queue.handle_next(duck))
+                except (IndexError, ValueError) as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1]
+            assert ducks[0].calls == ducks[1].calls
+            assert ducks[0].stats.app_wakeups == ducks[1].stats.app_wakeups
         assert len(queues[0]) == len(queues[1])
         assert queues[0].dead_entries == queues[1].dead_entries
         assert queues[0].peek_time() == queues[1].peek_time()
     final = [[_fingerprint(e) for e in queue.live_events()] for queue in queues]
     assert final[0] == final[1]
+
+
+# --------------------------------------------------------------------- #
+# Hygiene of the compiled dispatch
+# --------------------------------------------------------------------- #
+
+QUEUE_BACKENDS = ["python", pytest.param("native", marks=needs_native)]
+
+
+@pytest.mark.parametrize("backend", QUEUE_BACKENDS)
+def test_duck_typed_node_dispatches_by_tag(backend):
+    """Single-event dispatch on a node without the ``SimulatedNode``
+    surface (the compiled queue's generic path): one handler per tag, the
+    next event time as the return value, the event consumed on error."""
+    queue = backend_mod.queue_class(backend)()
+    duck = _DuckNode(queue, [])
+    for time, tag in enumerate(("app-wake", "emit", "delivery", "t", "boom", "emit")):
+        queue.schedule(time, None, tag, f"p{time}")
+    assert [queue.handle_next(duck) for _ in range(4)] == [1, 2, 3, 4]
+    assert duck.calls == [
+        ("advance", 0, "p0"),
+        ("emit", "p1"),
+        ("fragment", 2, "p2"),
+        ("timer", "t", "p3", 3),
+    ]
+    assert duck.stats.app_wakeups == 1
+    with pytest.raises(ValueError, match="boom p4"):
+        queue.handle_next(duck)
+    assert queue.peek_time() == 5  # the raising event is gone
+    duck.emit_hook = None
+    with pytest.raises(RuntimeError, match="duck: emit event without emit_hook"):
+        queue.handle_next(duck)
+    # Only the timer the delivery handler scheduled (at 2 + 3) is left.
+    assert queue.handle_next(duck) is None
+    with pytest.raises(IndexError, match="pop from empty EventQueue"):
+        queue.handle_next(duck)
+
+
+@needs_native
+def test_native_match_leaves_the_same_mailbox_as_python():
+    """Uniquely tagged messages (how the collectives tag) must not leave
+    one empty deque per message behind, on either backend — exact
+    matches run the compiled ``match_fast``, wildcards the python scan."""
+    count = 40
+
+    def apps():
+        def sender():
+            for tag in range(2 * count):
+                yield Send(dst=1, nbytes=64, tag=tag)
+
+        def receiver():
+            yield ComputeTime(500 * US)  # let every message queue up first
+            for tag in range(count):
+                yield Recv(src=0, tag=tag)
+            for _ in range(count):
+                yield Recv(src=ANY_SOURCE, tag=ANY_TAG)
+
+        return [sender(), receiver()]
+
+    for backend in ("python", "native"):
+        sim = build_sim(backend, apps=apps())
+        assert sim.run().completed
+        nic = sim.nodes[1].nic
+        assert nic.stats.messages_received == 2 * count
+        assert nic.mailbox == []
+        assert nic._mailbox == {}
+
+
+@needs_native
+def test_native_dispatch_does_not_leak():
+    """>= 100k events through ``handle_next`` over repeated small
+    interleaved runs: the refcounts a finished run leaves on its node and
+    hooks (the queue's bound context holds some) are the same every run,
+    finished simulators are collectable (that context is a GC-visible
+    cycle), the shared payload's refcount returns to its baseline, and
+    traced memory stays flat."""
+    payload = object()
+
+    def one_run():
+        sim = build_sim("native", apps=pingpong_apps(rounds=250, payload=payload))
+        assert sim.run().completed
+        node = sim.nodes[0]
+        watched = (node, node.emit_hook, node.activity_hook, node.queue)
+        return sim.perf.events, weakref.ref(node), [sys.getrefcount(o) for o in watched]
+
+    def settle():
+        gc.collect()
+        return sys.getrefcount(payload), tracemalloc.get_traced_memory()[0]
+
+    _, _, expected_refs = one_run()  # also warms every memo and constant
+    tracemalloc.start()
+    try:
+        base_refs, base_bytes = settle()
+        dispatched = 0
+        nodes = []
+        while dispatched < 100_000:
+            events, node, refs = one_run()
+            dispatched += events
+            nodes.append(node)
+            assert refs == expected_refs
+        payload_refs, traced = settle()
+    finally:
+        tracemalloc.stop()
+    assert all(node() is None for node in nodes)
+    assert payload_refs == base_refs
+    assert traced - base_bytes < 64 * 1024

@@ -146,3 +146,51 @@ class TestMailbox:
         self.fill(receiver)
         assert receiver.match(Recv(src=7)) is None
         assert len(receiver.mailbox) == 3
+
+    def deposit(self, receiver, tag, payload=None, src=0):
+        frame = NicModel(src).build_frames(
+            dst=1, nbytes=8, tag=tag, payload=payload, now=0
+        )[0]
+        receiver.receive_fragment(delivered(frame))
+
+    @pytest.mark.parametrize("wildcard", [False, True])
+    def test_emptied_queues_leave_the_mailbox(self, wildcard):
+        """Collectives tag every message uniquely: a key kept after its
+        last message was matched would grow with the message count."""
+        receiver = NicModel(1)
+        for tag in range(50):
+            self.deposit(receiver, tag)
+        assert len(receiver._mailbox) == 50
+        for tag in range(50):
+            request = Recv(src=ANY_SOURCE, tag=ANY_TAG) if wildcard else Recv(src=0, tag=tag)
+            assert receiver.match(request).tag == tag
+        assert len(receiver._mailbox) == 0
+        assert receiver.mailbox == []
+
+    def test_key_emptied_and_refilled_still_matches_fifo(self):
+        receiver = NicModel(1)
+        self.deposit(receiver, tag=4, payload="a")
+        assert receiver.match(Recv(src=0, tag=4)).payload == "a"
+        assert receiver.match(Recv(src=0, tag=4)) is None
+        for payload in ("b", "c"):
+            self.deposit(receiver, tag=4, payload=payload)
+        assert [m.payload for m in receiver.mailbox] == ["b", "c"]
+        assert receiver.match(Recv(src=0, tag=4)).payload == "b"
+        assert len(receiver._mailbox) == 1
+        assert receiver.match(Recv(src=0, tag=4)).payload == "c"
+        assert len(receiver._mailbox) == 0
+
+    def test_wildcard_fifo_is_by_deposit_sequence_not_dict_order(self):
+        """Deleting and re-creating a key moves it to the end of the
+        dict; arrival order must still decide among wildcard matches."""
+        receiver = NicModel(1)
+        self.deposit(receiver, tag=1, payload="first")
+        self.deposit(receiver, tag=2, payload="second")
+        assert receiver.match(Recv(src=0, tag=1)).payload == "first"
+        self.deposit(receiver, tag=3, payload="third")
+        self.deposit(receiver, tag=1, payload="fourth")
+        self.deposit(receiver, tag=2, payload="fifth")
+        assert list(receiver._mailbox) == [(0, 2), (0, 3), (0, 1)]
+        order = [receiver.match(Recv(src=ANY_SOURCE, tag=ANY_TAG)).payload for _ in range(4)]
+        assert order == ["second", "third", "fourth", "fifth"]
+        assert len(receiver._mailbox) == 0
