@@ -34,21 +34,12 @@ def run_case(name: str, trace: bool = False):
     run can be exported as a Chrome trace artifact.
     """
     config = next(c for c in scaleout_configs() if c.name == name)
-    runners = []
-
-    def runner_factory(record_traffic, timeline_bucket):
-        runner = ExperimentRunner(
-            seed=BENCH_SEED,
-            record_traffic=record_traffic,
-            timeline_bucket=timeline_bucket,
-            trace=TraceConfig() if trace else None,
-        )
-        runners.append(runner)
-        return runner
-
-    result = figures.figure9(runner_factory, config, bucket=MILLISECOND // 2)
-    traced = [record for runner in runners for record in runner.traced_runs]
-    return result, traced
+    runner = ExperimentRunner(
+        seed=BENCH_SEED, trace=TraceConfig() if trace else None
+    )
+    result = figures.figure9(runner, config, bucket=MILLISECOND // 2)
+    # figure9's two per-run runners report their traced runs on *runner*.
+    return result, runner.traced_runs
 
 
 def render(result):

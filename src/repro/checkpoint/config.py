@@ -4,8 +4,8 @@
 :class:`~repro.core.cluster.ClusterConfig` the same way ``check``/``trace``
 are: a frozen, hashable knob that changes *how* a run executes, never
 *what* it computes.  Checkpointed runs are bit-identical to plain ones,
-so the setting is deliberately excluded from every cache key (see
-``RunnerSettings.key_fragment`` in :mod:`repro.harness.parallel`).
+so the setting is deliberately excluded from every cache key (see the
+execution-only group of ``RunnerSettings`` in :mod:`repro.harness.settings`).
 
 This module is a leaf (no simulator imports) so
 :mod:`repro.core.cluster` can import it at module top without a cycle;

@@ -3,6 +3,8 @@
 * :mod:`repro.harness.configs` — the paper's configuration matrix (fixed
   quanta 1/10/100/1000 us, the two adaptive settings, host/barrier
   calibration, scale-out instances).
+* :mod:`repro.harness.settings` — ``RunnerSettings``: the one list of runner
+  knobs, and which of them shape a result, an artefact, or only execution.
 * :mod:`repro.harness.experiment` — builds clusters, runs them, caches the
   ground truth, and compares configurations against it.
 * :mod:`repro.harness.parallel` — the experiment farm: process-pool batch
@@ -26,12 +28,8 @@ from repro.harness.experiment import (
     ExperimentRecord,
     ExperimentRunner,
 )
-from repro.harness.parallel import (
-    DiskResultCache,
-    ParallelRunner,
-    RunnerSettings,
-    RunSpec,
-)
+from repro.harness.parallel import DiskResultCache, ParallelRunner, RunSpec
+from repro.harness.settings import RunnerSettings
 
 __all__ = [
     "PAPER_SIZES",

@@ -26,8 +26,9 @@ from repro.engine.units import MILLISECOND
 from repro.faults.plan import PRESETS, FaultPlan, load_plan
 from repro.harness import figures
 from repro.harness.configs import GROUND_TRUTH_LABEL, scaleout_configs
-from repro.harness.experiment import ExperimentRecord, ExperimentRunner
+from repro.harness.experiment import ExperimentRecord
 from repro.harness.parallel import ParallelRunner
+from repro.harness.settings import RunnerSettings
 from repro.harness.supervise import RunTimeout
 from repro.harness.sweep import sweep_inc_dec
 from repro.node.transport import RecoveryConfig, TransportConfig
@@ -53,10 +54,28 @@ _WORKLOADS = {
 }
 
 
+#: Values of the shared options that are not RunnerSettings fields when the
+#: flag is not given.  They seed the namespace instead of being argparse
+#: defaults: the shared actions are one object in every (sub)parser, so a
+#: default on them would let a subcommand clobber a globally-given value.
+_UNSET = dict(
+    jobs=None,
+    no_cache=False,
+    cache_dir=None,
+    fault_plan=None,
+    trace_dir=None,
+    trace_format="chrome",
+    trace_diff=False,
+    profile=None,
+)
+
+
 def _parser() -> argparse.ArgumentParser:
     # Shared options live on a parent parser (with SUPPRESS defaults, so a
     # subcommand never clobbers a globally-given value) and are accepted
-    # both before and after the subcommand name.
+    # both before and after the subcommand name.  An option whose ``dest``
+    # is a RunnerSettings field reaches every runner with no further code
+    # (see _runner_settings); left out, the field keeps its own default.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--seed", type=int, default=argparse.SUPPRESS, help="root RNG seed"
@@ -89,6 +108,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--faults",
+        dest="fault_plan",
         metavar="PLAN",
         default=argparse.SUPPRESS,
         help="inject deterministic network/host faults: a preset name "
@@ -114,6 +134,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--trace",
+        dest="trace_dir",
         metavar="DIR",
         default=argparse.SUPPRESS,
         help="record a structured trace of every run and export one file "
@@ -353,8 +374,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    profile = getattr(args, "profile", None)
+    args = _parser().parse_args(argv, argparse.Namespace(**_UNSET))
+    profile = args.profile
     if profile is None:
         return _execute(args)
     import cProfile
@@ -376,67 +397,58 @@ def _main(argv: list[str] | None = None) -> int:
         )
 
 
-def _execute(args: argparse.Namespace) -> int:
-    # Shared options use SUPPRESS defaults (see _parser), so read them
-    # with fallbacks.
-    args.seed = getattr(args, "seed", 42)
-    args.jobs = getattr(args, "jobs", None)
-    args.no_cache = getattr(args, "no_cache", False)
-    args.cache_dir = getattr(args, "cache_dir", None)
-    # None (not False) defers to the REPRO_CHECK environment variable.
-    args.check = True if getattr(args, "check", False) else None
-    # None defers to REPRO_SHARDS; never part of cache keys (bit-identical).
-    args.shards = getattr(args, "shards", None)
-    # "auto" defers to REPRO_BACKEND; never part of cache keys either.
-    args.backend = getattr(args, "backend", "auto")
-    # Robustness knobs: like check/trace/shards, none of these changes any
-    # result bit or any cache key.
-    args.checkpoint_dir = getattr(args, "checkpoint_dir", None)
-    args.resume = getattr(args, "resume", False)
-    args.run_timeout = getattr(args, "run_timeout", None)
-    args.retries = getattr(args, "retries", 0)
-    if args.resume and args.checkpoint_dir is None:
-        raise SystemExit("--resume requires --checkpoint-dir")
-    faults_spec = getattr(args, "faults", None)
+def _runner_settings(args: argparse.Namespace) -> RunnerSettings:
+    """The one settings object every runner of this invocation derives from."""
+    given = vars(args)
+    knobs = {
+        f.name: given[f.name]
+        for f in dataclasses.fields(RunnerSettings)
+        if f.name in given
+    }
     try:
-        faults = load_plan(faults_spec) if faults_spec is not None else None
+        faults = load_plan(args.fault_plan) if args.fault_plan is not None else None
     except ValueError as error:
         raise SystemExit(str(error)) from error
+    tracing = args.trace_dir is not None or args.trace_diff
+    settings = RunnerSettings(
+        **knobs,
+        faults=faults,
+        transport=_with_recovery(None, faults),
+        trace=TraceConfig() if tracing else None,
+        # --run-timeout doubles as the stall bound: a run that completes
+        # no quantum for the whole budget is wedged by definition.
+        stall_timeout=knobs.get("run_timeout"),
+    )
+    if settings.resume and settings.checkpoint_dir is None:
+        raise SystemExit("--resume requires --checkpoint-dir")
+    return settings
+
+
+def _execute(args: argparse.Namespace) -> int:
+    settings = _runner_settings(args)
+    faults = settings.faults
     if faults is not None:
         recovery = " (recovery transport enabled)" if faults.requires_recovery() else ""
         print(f"[faults] {faults.describe()}{recovery}", file=sys.stderr)
-    args.trace = getattr(args, "trace", None)
-    args.trace_format = getattr(args, "trace_format", "chrome")
-    args.trace_diff = getattr(args, "trace_diff", False)
-    trace_config = (
-        TraceConfig() if (args.trace is not None or args.trace_diff) else None
-    )
-    if trace_config is not None and args.command == "sampling":
+    if settings.trace is not None and args.command == "sampling":
         raise SystemExit("--trace/--trace-diff are not supported for 'sampling'")
-    # Figure orchestrators that build their own runners (fig9, transport)
-    # append them here so their traced runs are exported/diffed too.
-    extra_runners: list[ExperimentRunner] = []
+    #: Every runner of this invocation reports its traced runs here (the
+    #: runners figure9 derives share their parent's list).
+    traced: list[ExperimentRecord] = []
+
+    def farm(runner_settings: RunnerSettings) -> ParallelRunner:
+        created = ParallelRunner(
+            runner_settings,
+            max_workers=args.jobs,
+            use_cache=not args.no_cache,
+            cache_dir=args.cache_dir,
+            progress=True,
+        )
+        created.traced_runs = traced
+        return created
+
     started = time.time()
-    runner = ParallelRunner(
-        seed=args.seed,
-        max_workers=args.jobs,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        check=args.check,
-        faults=faults,
-        transport=_with_recovery(None, faults),
-        progress=True,
-        trace=trace_config,
-        shards=args.shards,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
-        run_timeout=args.run_timeout,
-        # --run-timeout doubles as the stall bound: a run that completes
-        # no quantum for the whole budget is wedged by definition.
-        stall_timeout=args.run_timeout,
-        retries=args.retries,
-        backend=args.backend,
-    )
+    runner = farm(settings)
 
     if args.command == "fig6":
         result = figures.run_nas_suite_matrix(runner, tuple(args.sizes))
@@ -458,32 +470,7 @@ def _execute(args: argparse.Namespace) -> int:
             print(result.render())
             print(f"paper reported: {result.paper_rows}\n")
     elif args.command == "fig9":
-        config = _scaleout(args.case)
-
-        # Traced/timelined runs are never cached, but the parallel runner
-        # still provides progress reporting.
-        def fig9_runner(record_traffic: bool, timeline_bucket) -> ParallelRunner:
-            created = ParallelRunner(
-                seed=args.seed,
-                record_traffic=record_traffic,
-                timeline_bucket=timeline_bucket,
-                max_workers=args.jobs,
-                check=args.check,
-                faults=faults,
-                transport=_with_recovery(None, faults),
-                progress=True,
-                trace=trace_config,
-                shards=args.shards,
-                checkpoint_dir=args.checkpoint_dir,
-                resume=args.resume,
-                run_timeout=args.run_timeout,
-                stall_timeout=args.run_timeout,
-                retries=args.retries,
-            )
-            extra_runners.append(created)
-            return created
-
-        result = figures.figure9(fig9_runner, config, bucket=MILLISECOND)
+        result = figures.figure9(runner, _scaleout(args.case), bucket=MILLISECOND)
         print(result.render())
     elif args.command == "sweep":
         workload = _WORKLOADS[args.workload]()
@@ -504,23 +491,11 @@ def _execute(args: argparse.Namespace) -> int:
             (f"window {args.window_kib}KiB",
              TransportConfig(window_bytes=args.window_kib * 1024)),
         ]:
-            transport_runner = ParallelRunner(
-                seed=args.seed,
-                transport=_with_recovery(config, faults),
-                max_workers=args.jobs,
-                use_cache=not args.no_cache,
-                cache_dir=args.cache_dir,
-                check=args.check,
-                faults=faults,
-                trace=trace_config,
-                shards=args.shards,
-                checkpoint_dir=args.checkpoint_dir,
-                resume=args.resume,
-                run_timeout=args.run_timeout,
-                stall_timeout=args.run_timeout,
-                retries=args.retries,
+            transport_runner = farm(
+                dataclasses.replace(
+                    settings, transport=_with_recovery(config, faults)
+                )
             )
-            extra_runners.append(transport_runner)
             workload = StreamWorkload()
             transport_runner.ground_truth(workload, 2)
             for spec in [
@@ -610,12 +585,14 @@ def _execute(args: argparse.Namespace) -> int:
             for sample_label, sampling_schedule in [("detailed", None),
                                                     ("sampled", schedule)]:
                 workload = EpWorkload()
-                nodes = [SimulatedNode(i, app, transport=_with_recovery(None, faults))
+                nodes = [SimulatedNode(i, app, transport=settings.transport)
                          for i, app in enumerate(workload.build_apps(8))]
                 controller = NetworkController(8, PAPER_NETWORK(8))
+                # Drives ClusterSimulator.run() directly, so of the
+                # execution-only knobs only check and backend apply.
                 config = ClusterConfig(
-                    seed=args.seed, sampling=sampling_schedule, check=args.check,
-                    faults=faults,
+                    seed=settings.seed, sampling=sampling_schedule,
+                    check=settings.check, faults=faults, backend=settings.backend,
                 )
                 results[(sync_label, sample_label)] = ClusterSimulator(
                     nodes, controller, policy_factory(), config).run()
@@ -625,11 +602,8 @@ def _execute(args: argparse.Namespace) -> int:
         print(format_table(["configuration", "host time", "speedup"], rows,
                            "Adaptive quantum x sampling (8-node EP)"))
 
-    traced = list(runner.traced_runs)
-    for extra in extra_runners:
-        traced.extend(extra.traced_runs)
-    if args.trace is not None and traced:
-        _export_traces(traced, args.trace, args.trace_format)
+    if args.trace_dir is not None and traced:
+        _export_traces(traced, args.trace_dir, args.trace_format)
     if args.trace_diff:
         _render_trace_diffs(traced)
 

@@ -10,25 +10,21 @@ speedup against the ground-truth run.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
 from repro.checkpoint import CheckpointConfig, CheckpointStore, MatrixJournal, restore_snapshot
-from repro.core.barrier import BarrierModel
 from repro.core.cluster import ClusterConfig, ClusterSimulator, RunResult
 from repro.core.quantum import QuantumPolicy
-from repro.engine.units import SimTime, format_time
-from repro.faults.plan import FaultPlan
+from repro.engine.units import format_time
 from repro.harness.configs import PolicySpec, ground_truth_policy
+from repro.harness.settings import RunnerSettings
 from repro.harness.supervise import ProgressWatchdog, retry_transient
 from repro.metrics.traffic import TrafficTrace
 from repro.network.controller import NetworkController
-from repro.network.latency import PAPER_NETWORK, LatencyModel
-from repro.node.hostmodel import HostModelParams
+from repro.network.latency import LatencyModel
 from repro.node.node import SimulatedNode
-from repro.node.transport import TransportConfig
 from repro.obs.collector import TraceCollector, TraceConfig, run_slug
 from repro.shard import run_sharded
 from repro.workloads.base import Workload
@@ -83,55 +79,10 @@ class ComparisonRow:
 class ExperimentRunner:
     """Builds and runs cluster simulations with consistent methodology."""
 
-    def __init__(
-        self,
-        seed: int = 42,
-        host_params: Optional[HostModelParams] = None,
-        barrier: Optional[BarrierModel] = None,
-        latency_factory=PAPER_NETWORK,
-        timeline_bucket: Optional[SimTime] = None,
-        record_traffic: bool = False,
-        transport: Optional[TransportConfig] = None,
-        check: Optional[bool] = None,
-        faults: Optional[FaultPlan] = None,
-        trace: Optional[TraceConfig] = None,
-        shards: Optional[int] = None,
-        checkpoint_dir: Optional[str] = None,
-        checkpoint_every_quanta: Optional[int] = None,
-        resume: bool = False,
-        run_timeout: Optional[float] = None,
-        stall_timeout: Optional[float] = None,
-        retries: int = 0,
-        backend: str = "auto",
-    ) -> None:
-        self.seed = seed
-        self.host_params = host_params or HostModelParams()
-        self.barrier = barrier or BarrierModel()
-        self.latency_factory = latency_factory
-        self.timeline_bucket = timeline_bucket
-        self.record_traffic = record_traffic
-        self.transport = transport
-        self.check = check
-        self.faults = faults
-        self.trace = trace
-        #: Worker processes per single run (None defers to ``REPRO_SHARDS``).
-        #: Sharded results are bit-identical to serial, so this affects
-        #: wall-clock only — never metrics, comparisons, or cache keys.
-        self.shards = shards
-        #: Checkpoint/supervision knobs.  All of these are harness-level
-        #: robustness settings: restored runs are bit-identical to
-        #: uninterrupted ones, so — like ``check``/``trace``/``shards`` —
-        #: none of them participates in result caching.
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_every_quanta = checkpoint_every_quanta
-        self.resume = resume
-        self.run_timeout = run_timeout
-        self.stall_timeout = stall_timeout
-        self.retries = retries
-        #: Engine-core implementation ("auto"/"python"/"native").  Both
-        #: backends are bit-identical, so — like ``shards`` — this shapes
-        #: wall-clock only: never metrics, comparisons, or cache keys.
-        self.backend = backend
+    def __init__(self, settings: Optional[RunnerSettings] = None, **knobs) -> None:
+        #: Every knob of this runner (see :class:`RunnerSettings`, the one
+        #: list of them): *knobs* are its fields, applied over *settings*.
+        self.settings = dataclasses.replace(settings or RunnerSettings(), **knobs)
         #: Why the most recent run degraded from the native engine core to
         #: pure python (None when native ran or was not requested) — the
         #: backend analogue of ``last_shard_fallback_reason``.
@@ -174,49 +125,26 @@ class ExperimentRunner:
             # A retry after a transient failure may resume from the
             # snapshot the failed attempt left behind even when the
             # caller did not ask for --resume: the work is this call's.
-            resume_ok = self.resume or not first_attempt
+            resume_ok = self.settings.resume or not first_attempt
             first_attempt = False
             return self._run_once(workload, size, policy, run_label, resume_ok)
 
-        if self.retries:
-            return retry_transient(attempt, self.retries)
+        if self.settings.retries:
+            return retry_transient(attempt, self.settings.retries)
         return attempt()
 
     def _checkpoint_config(
         self, workload: Workload, size: int, run_label: str
     ) -> Optional[CheckpointConfig]:
-        """Per-run checkpoint settings, or None when checkpointing is off.
-
-        The snapshot ``key`` fingerprints everything that shapes simulator
-        state, so a stale snapshot from a different configuration is a
-        plain cache miss rather than a wrong resume.  ``check`` is
-        deliberately absent: snapshots are check-independent (the sanitizer
-        is re-synthesized on restore).
-        """
-        if self.checkpoint_dir is None:
+        """Per-run checkpoint settings, or None when checkpointing is off."""
+        settings = self.settings
+        if settings.checkpoint_dir is None:
             return None
-        factory = self.latency_factory
-        factory_name = getattr(factory, "__name__", type(factory).__name__)
-        fingerprint = hashlib.sha256(
-            repr(
-                (
-                    self.seed,
-                    self.host_params,
-                    self.barrier,
-                    factory_name,
-                    self.timeline_bucket,
-                    self.record_traffic,
-                    self.transport,
-                    self.faults,
-                    self.trace,
-                )
-            ).encode()
-        ).hexdigest()[:16]
         return CheckpointConfig(
-            directory=self.checkpoint_dir,
-            every_quanta=self.checkpoint_every_quanta,
+            directory=settings.checkpoint_dir,
+            every_quanta=settings.checkpoint_every_quanta,
             label=run_slug(workload.name, size, run_label),
-            key=fingerprint,
+            key=settings.snapshot_key(),
         )
 
     def _run_once(
@@ -228,14 +156,15 @@ class ExperimentRunner:
         resume_ok: bool,
     ) -> ExperimentRecord:
         label = run_label
-        trace = TrafficTrace(size) if self.record_traffic else None
+        settings = self.settings
+        trace = TrafficTrace(size) if settings.record_traffic else None
         checkpoint = self._checkpoint_config(workload, size, run_label)
         watchdog: Optional[ProgressWatchdog] = None
-        if self.run_timeout is not None or self.stall_timeout is not None:
+        if settings.run_timeout is not None or settings.stall_timeout is not None:
             watchdog = ProgressWatchdog(
                 label=f"{workload.name} n={size} {run_label}",
-                run_timeout=self.run_timeout,
-                stall_timeout=self.stall_timeout,
+                run_timeout=settings.run_timeout,
+                stall_timeout=settings.stall_timeout,
                 progress=workload.progress_summary,
             )
 
@@ -245,32 +174,32 @@ class ExperimentRunner:
             # failure, and a run is a pure function of what this builds.
             apps = workload.build_apps(size)
             nodes = [
-                SimulatedNode(rank, app, transport=self.transport)
+                SimulatedNode(rank, app, transport=settings.transport)
                 for rank, app in enumerate(apps)
             ]
-            latency: LatencyModel = self.latency_factory(size)
+            latency: LatencyModel = settings.latency_factory(size)
             # Traffic recording and structured tracing share one code path:
             # the controller feeds the obs collector, and a TrafficTrace
             # (when requested) is just a packet listener on that collector.
             trace_config = (
-                self.trace.for_run(
+                settings.trace.for_run(
                     workload.name, size, label or policy.describe()
                 )
-                if self.trace is not None
+                if settings.trace is not None
                 else (_TRAFFIC_CONDUIT if trace is not None else None)
             )
             controller = NetworkController(size, latency)
             config = ClusterConfig(
-                seed=self.seed,
-                host_params=self.host_params,
-                barrier=self.barrier,
-                timeline_bucket=self.timeline_bucket,
-                check=self.check,
-                faults=self.faults,
+                seed=settings.seed,
+                host_params=settings.host_params,
+                barrier=settings.barrier,
+                timeline_bucket=settings.timeline_bucket,
+                check=settings.check,
+                faults=settings.faults,
                 trace=trace_config,
-                shards=self.shards,
+                shards=settings.shards,
                 checkpoint=checkpoint,
-                backend=self.backend,
+                backend=settings.backend,
             )
             simulator = ClusterSimulator(nodes, controller, policy, config)
             if trace is not None:
@@ -282,6 +211,9 @@ class ExperimentRunner:
             # trace events (the service workload's request lifecycle).
             workload.attach_trace(simulator.collector)
             return simulator
+
+        def supervised(body):
+            return watchdog.run(body) if watchdog is not None else body()
 
         snapshot = None
         if checkpoint is not None and resume_ok:
@@ -300,28 +232,19 @@ class ExperimentRunner:
             workload.attach_trace(None)
             restore_snapshot(simulator, snapshot)
             workload.attach_trace(simulator.collector)
-            if self.shards is not None:
-                self.last_shard_fallback_reason = (
-                    "checkpoint resume runs serially"
-                )
-            else:
-                self.last_shard_fallback_reason = None
-            if watchdog is not None:
-                result = watchdog.run(simulator.run)
-            else:
-                result = simulator.run()
-        elif watchdog is not None:
-            outcome = watchdog.run(lambda: run_sharded(build))
-            self.last_shard_fallback_reason = outcome.fallback_reason
-            result = outcome.result
-            simulator = outcome.simulator
+            self.last_shard_fallback_reason = (
+                "checkpoint resume runs serially"
+                if settings.shards is not None
+                else None
+            )
+            result = supervised(simulator.run)
         else:
-            outcome = run_sharded(build)
+            outcome = supervised(lambda: run_sharded(build))
             self.last_shard_fallback_reason = outcome.fallback_reason
             result = outcome.result
             simulator = outcome.simulator
         self.last_backend_fallback_reason = simulator.backend_fallback_reason
-        collector = simulator.collector if self.trace is not None else None
+        collector = simulator.collector if settings.trace is not None else None
         if collector is not None:
             collector.close()
         if not result.completed:
@@ -338,7 +261,7 @@ class ExperimentRunner:
             workload_name=workload.name,
             size=size,
             policy_label=label or policy.describe(),
-            seed=self.seed,
+            seed=settings.seed,
             metric=workload.metric(result),
             result=result,
             trace=trace,
@@ -433,8 +356,8 @@ class ExperimentRunner:
             return journal
         if journal is not None:
             return MatrixJournal(Path(journal))
-        if self.checkpoint_dir is not None:
-            root = Path(self.checkpoint_dir)
+        if self.settings.checkpoint_dir is not None:
+            root = Path(self.settings.checkpoint_dir)
             root.mkdir(parents=True, exist_ok=True)
             return MatrixJournal(root / f"{workload.name}.matrix.jsonl")
         return None
@@ -462,7 +385,7 @@ class ExperimentRunner:
         exact rows the original computation produced — a resumed matrix
         report is byte-identical to an uninterrupted one.
         """
-        resume_rows = resume if resume is not None else self.resume
+        resume_rows = resume if resume is not None else self.settings.resume
         log = self._matrix_journal(workload, journal)
         finished: dict[str, dict[str, object]] = {}
         if log is not None and resume_rows:
@@ -483,29 +406,33 @@ class ExperimentRunner:
             for spec in todo:
                 pending[len(requests)] = cell_key(size, spec)
                 requests.append((workload, size, spec))
-        if log is not None:
-            for key in pending.values():
-                log.start(key)
         try:
-            records = self.run_many(requests)
-        except Exception as error:
             if log is not None:
-                # A batch failure leaves every started cell unfinished;
-                # mark them failed so --resume knows to recompute them.
                 for key in pending.values():
-                    log.failed(key, repr(error))
-            raise
-        for index in injected:
-            self.adopt_ground_truth(workload, records[index])
-        for index, record in enumerate(records):
-            if index in injected:
-                continue
-            row = self.compare(workload, record)
-            rows[pending[index]] = row
+                    log.start(key)
+            try:
+                records = self.run_many(requests)
+            except Exception as error:
+                if log is not None:
+                    # A batch failure leaves every started cell unfinished;
+                    # mark them failed so --resume knows to recompute them.
+                    for key in pending.values():
+                        log.failed(key, repr(error))
+                raise
+            for index in injected:
+                self.adopt_ground_truth(workload, records[index])
+            for index, record in enumerate(records):
+                if index in injected:
+                    continue
+                row = self.compare(workload, record)
+                rows[pending[index]] = row
+                if log is not None:
+                    log.done(pending[index], dataclasses.asdict(row))
+        finally:
+            # Every exit, the failing ones included: the journal's handle
+            # is opened by the first append above.
             if log is not None:
-                log.done(pending[index], dataclasses.asdict(row))
-        if log is not None:
-            log.close()
+                log.close()
         out: list[ComparisonRow] = []
         for size in sizes:
             for spec in specs:

@@ -333,32 +333,37 @@ class TimelineResult:
 
 
 def figure9(
-    runner_factory,
+    runner: ExperimentRunner,
     config: ScaleoutConfig,
     bucket: int = MILLISECOND,
 ) -> TimelineResult:
     """Traffic trace (left chart) and adaptive speedup over time (right).
 
-    *runner_factory* builds a fresh runner per run (traces and timelines
-    are per-run options, so the runs need their own runners).
+    Traces and timelines are per-run artefacts, so each of the two runs
+    gets a runner of its own, derived from *runner*'s settings; their
+    traced runs are reported on *runner*.  Both are single in-process,
+    uncacheable runs, so a farm runner's pool and cache have no part in them.
     """
+
+    def per_run(record_traffic: bool) -> ExperimentRunner:
+        derived = type(runner)(
+            runner.settings, record_traffic=record_traffic, timeline_bucket=bucket
+        )
+        derived.traced_runs = runner.traced_runs
+        return derived
+
     # Ground-truth run gives the baseline host-per-sim-second rate and the
     # traffic trace (the paper's left charts show the application's own
     # traffic, which the ground truth renders undistorted).  The traffic
     # samples come from the run's obs collector: record_traffic installs a
     # TrafficTrace as a packet listener on it (see ExperimentRunner.run).
-    truth_runner: ExperimentRunner = runner_factory(
-        record_traffic=True, timeline_bucket=bucket
-    )
+    truth_runner = per_run(record_traffic=True)
     workload = config.workload_factory()
     truth = truth_runner.ground_truth(workload, config.size)
     assert truth.trace is not None and truth.result.timeline is not None
     baseline_rate = truth.result.host_per_sim_second
 
-    dyn_runner: ExperimentRunner = runner_factory(
-        record_traffic=False, timeline_bucket=bucket
-    )
-    dyn = dyn_runner.run_spec(
+    dyn = per_run(record_traffic=False).run_spec(
         workload, config.size, PolicySpec(config.dyn_label, config.dyn_factory)
     )
     assert dyn.result.timeline is not None

@@ -25,10 +25,11 @@ Two pieces:
 * :class:`DiskResultCache` — a persistent ground-truth/result cache under
   ``.repro_cache/`` (override with ``REPRO_CACHE_DIR``), keyed by a stable
   SHA-256 over the full configuration: workload class + parameters, size,
-  policy class + parameters, seed, host-model calibration, barrier model,
-  latency calibration, and transport settings, plus a cache format
-  version.  Entries are one JSON file each, written atomically
-  (temp-file + rename); an entry whose version or key payload does not
+  policy class + parameters, and the result-shaping group of
+  :class:`~repro.harness.settings.RunnerSettings` (seed, host-model
+  calibration, barrier model, latency calibration, transport, faults),
+  plus a cache format version.  Entries are one JSON file each, written
+  atomically (temp-file + rename); an entry whose version or key payload does not
   match is ignored and recomputed (then overwritten), and one that fails
   to parse is quarantined to ``<key>.corrupt``, so stale or corrupted
   files can never poison a result.  The expensive 1 us
@@ -51,25 +52,25 @@ import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Optional
 
-from repro.core.barrier import BarrierModel
 from repro.core.cluster import RunResult
 from repro.core.quantum import QuantumPolicy, QuantumStats
 from repro.core.stats import HostCostBreakdown
-from repro.engine.units import SimTime
 from repro.faults.injector import FaultStats
-from repro.faults.plan import FaultPlan
 from repro.harness.configs import PolicySpec
 from repro.harness.experiment import ExperimentRecord, ExperimentRunner
+from repro.harness.settings import (
+    RunnerSettings,
+    Uncacheable,
+    _describe_component,
+    _jsonable,
+)
 from repro.network.controller import ControllerStats
-from repro.network.latency import PAPER_NETWORK
-from repro.node.hostmodel import HostModelParams
 from repro.node.node import NodeStats
-from repro.node.transport import TransportConfig, TransportStats
-from repro.obs.collector import TraceConfig
+from repro.node.transport import TransportStats
 from repro.workloads.base import Workload
 
 #: Bump whenever the cached-record schema or run semantics change; every
@@ -78,158 +79,6 @@ CACHE_VERSION = 1
 
 #: Default cache directory (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"
-
-
-class Uncacheable(TypeError):
-    """A configuration or result that cannot be stably serialized."""
-
-
-def _jsonable(value: Any) -> Any:
-    """Convert *value* to plain JSON types, or raise :class:`Uncacheable`.
-
-    Floats round-trip exactly through JSON (shortest-repr encoding), so
-    cached records reproduce byte-identical comparison rows.
-    """
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    # Nested config dataclasses (ArrivalProfile, TierModel, ...) serialize
-    # by value so they participate in cache keys like scalar parameters.
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(dataclasses.asdict(value))
-    # numpy scalars (np.int64 lengths, np.float64 draws) leak into stats.
-    item = getattr(value, "item", None)
-    if callable(item) and type(value).__module__.startswith("numpy"):
-        return _jsonable(value.item())
-    raise Uncacheable(f"cannot serialize {type(value).__name__!r} for the cache")
-
-
-def _describe_component(obj: Any) -> dict:
-    """Stable identity of a model object: class path + scalar parameters."""
-    payload = {"class": f"{type(obj).__module__}.{type(obj).__qualname__}"}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        payload["params"] = _jsonable(dataclasses.asdict(obj))
-    else:
-        # Underscore attributes are derived per-run state (the service
-        # workload's arrival array and query manager), not configuration:
-        # identity is the public constructor surface only.
-        payload["params"] = _jsonable(
-            {key: value for key, value in vars(obj).items() if not key.startswith("_")}
-        )
-    return payload
-
-
-@dataclass(frozen=True)
-class RunnerSettings:
-    """The picklable construction recipe of an :class:`ExperimentRunner`.
-
-    Shipped to worker processes so each builds a runner identical to the
-    parent's, and hashed into cache keys so a cache entry can never be
-    replayed under different calibration.
-    """
-
-    seed: int = 42
-    host_params: HostModelParams = field(default_factory=HostModelParams)
-    barrier: BarrierModel = field(default_factory=BarrierModel)
-    latency_factory: Callable = PAPER_NETWORK
-    timeline_bucket: Optional[SimTime] = None
-    record_traffic: bool = False
-    transport: Optional[TransportConfig] = None
-    # Deliberately absent from key_fragment(): a checked run is bit-identical
-    # to an unchecked one, so sanitized and plain runs share cache entries.
-    check: Optional[bool] = None
-    faults: Optional[FaultPlan] = None
-    # Also absent from key_fragment(): tracing only observes, so a traced
-    # run's result hashes (and computes) exactly as an untraced one — but
-    # traced runs are never cached (see ``cacheable``), so fault-free
-    # cache keys stay byte-identical to pre-trace harness versions.
-    trace: Optional[TraceConfig] = None
-    # Also absent from key_fragment(): a sharded run is bit-identical to a
-    # serial one (the acceptance gate of repro.shard), so results computed
-    # at any shard count share cache entries — and shards=1 keys stay
-    # byte-identical to pre-shard harness versions.
-    shards: Optional[int] = None
-    # Also absent from key_fragment(): checkpoints, resume, wall-clock
-    # deadlines, and retries are harness robustness knobs — a restored or
-    # supervised run is bit-identical to a plain one (the acceptance gate
-    # of repro.checkpoint), so fault-free cache keys stay byte-identical
-    # to pre-checkpoint harness versions.
-    checkpoint_dir: Optional[str] = None
-    checkpoint_every_quanta: Optional[int] = None
-    resume: bool = False
-    run_timeout: Optional[float] = None
-    stall_timeout: Optional[float] = None
-    retries: int = 0
-    # Also absent from key_fragment(): the compiled engine core is held
-    # bit-identical to the pure-python reference (the acceptance gate of
-    # repro.engine.backend), so results computed under either backend
-    # share cache entries — and "auto" keys stay byte-identical to
-    # pre-backend harness versions.
-    backend: str = "auto"
-
-    def build_runner(self) -> ExperimentRunner:
-        return ExperimentRunner(
-            seed=self.seed,
-            host_params=self.host_params,
-            barrier=self.barrier,
-            latency_factory=self.latency_factory,
-            timeline_bucket=self.timeline_bucket,
-            record_traffic=self.record_traffic,
-            transport=self.transport,
-            check=self.check,
-            faults=self.faults,
-            trace=self.trace,
-            shards=self.shards,
-            checkpoint_dir=self.checkpoint_dir,
-            checkpoint_every_quanta=self.checkpoint_every_quanta,
-            resume=self.resume,
-            run_timeout=self.run_timeout,
-            stall_timeout=self.stall_timeout,
-            retries=self.retries,
-            backend=self.backend,
-        )
-
-    @property
-    def cacheable(self) -> bool:
-        """Traces and timelines do not round-trip through the cache."""
-        return (
-            self.timeline_bucket is None
-            and not self.record_traffic
-            and self.trace is None
-        )
-
-    def key_fragment(self, size: int) -> dict:
-        factory = self.latency_factory
-        transport = None
-        if self.transport is not None:
-            transport = _jsonable(dataclasses.asdict(self.transport))
-            if transport.get("recovery") is None:
-                # Elide the absent recovery block so pre-recovery cache
-                # entries (and fault-free keys in general) stay byte-
-                # identical to what older harness versions computed.
-                del transport["recovery"]
-        fragment = {
-            "seed": self.seed,
-            "host_params": _jsonable(dataclasses.asdict(self.host_params)),
-            "barrier": _describe_component(self.barrier),
-            "latency": {
-                "factory": f"{factory.__module__}.{factory.__qualname__}",
-                # Calibration probe: the minimum latency pins the PDES
-                # ``T`` for this size even if the factory name collides.
-                "min_latency": factory(size).min_latency(),
-            },
-            "transport": transport,
-        }
-        if self.faults is not None:
-            # Only faulted runs carry the key: fault-free payloads hash
-            # exactly as they did before the fault layer existed.
-            fragment["faults"] = _jsonable(self.faults.to_dict())
-        return fragment
 
 
 @dataclass(frozen=True)
@@ -454,7 +303,7 @@ def _pickle_error(specs: list[RunSpec], pending: list[int]) -> Optional[str]:
 def _execute(index: int, spec: RunSpec) -> tuple[int, ExperimentRecord, float]:
     """Run one spec in a worker process; also populates the disk cache."""
     started = time.perf_counter()
-    runner = spec.settings.build_runner()
+    runner = ExperimentRunner(spec.settings)
     record = runner.run(spec.workload, spec.size, spec.policy, label=spec.label)
     wall = time.perf_counter() - started
     if spec.cache_dir is not None:
@@ -494,7 +343,8 @@ class ParallelRunner(ExperimentRunner):
     (:meth:`run_many`, and everything built on it — ``run_matrix``, the
     figure orchestrators, the inc/dec sweep) fan out.
 
-    Args mirror :class:`ExperimentRunner`, plus:
+    Args are :class:`ExperimentRunner`'s (a settings object and/or its
+    knobs by keyword), plus the four farm parameters:
         max_workers: pool size (None = CPU count; 1 = serial).
         use_cache: enable the persistent result cache (automatically
             disabled for trace/timeline-recording runners).
@@ -505,70 +355,15 @@ class ParallelRunner(ExperimentRunner):
 
     def __init__(
         self,
-        seed: int = 42,
-        host_params: Optional[HostModelParams] = None,
-        barrier: Optional[BarrierModel] = None,
-        latency_factory=PAPER_NETWORK,
-        timeline_bucket: Optional[SimTime] = None,
-        record_traffic: bool = False,
-        transport: Optional[TransportConfig] = None,
-        check: Optional[bool] = None,
-        faults: Optional[FaultPlan] = None,
-        trace: Optional[TraceConfig] = None,
-        shards: Optional[int] = None,
-        checkpoint_dir: Optional[str] = None,
-        checkpoint_every_quanta: Optional[int] = None,
-        resume: bool = False,
-        run_timeout: Optional[float] = None,
-        stall_timeout: Optional[float] = None,
-        retries: int = 0,
-        backend: str = "auto",
+        settings: Optional[RunnerSettings] = None,
         *,
         max_workers: Optional[int] = None,
         use_cache: bool = True,
         cache_dir: str | os.PathLike | None = None,
         progress: bool = False,
+        **knobs,
     ) -> None:
-        super().__init__(
-            seed=seed,
-            host_params=host_params,
-            barrier=barrier,
-            latency_factory=latency_factory,
-            timeline_bucket=timeline_bucket,
-            record_traffic=record_traffic,
-            transport=transport,
-            check=check,
-            faults=faults,
-            trace=trace,
-            shards=shards,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every_quanta=checkpoint_every_quanta,
-            resume=resume,
-            run_timeout=run_timeout,
-            stall_timeout=stall_timeout,
-            retries=retries,
-            backend=backend,
-        )
-        self.settings = RunnerSettings(
-            seed=self.seed,
-            host_params=self.host_params,
-            barrier=self.barrier,
-            latency_factory=latency_factory,
-            timeline_bucket=timeline_bucket,
-            record_traffic=record_traffic,
-            transport=transport,
-            check=check,
-            faults=faults,
-            trace=trace,
-            shards=shards,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every_quanta=checkpoint_every_quanta,
-            resume=resume,
-            run_timeout=run_timeout,
-            stall_timeout=stall_timeout,
-            retries=retries,
-            backend=backend,
-        )
+        super().__init__(settings, **knobs)
         self.max_workers = max_workers
         self.progress = progress
         self.cache: Optional[DiskResultCache] = (
@@ -734,7 +529,7 @@ class ParallelRunner(ExperimentRunner):
         """
         from repro.harness.supervise import BACKOFF_BASE_SECONDS
 
-        rebuilds = 1 + self.retries
+        rebuilds = 1 + self.settings.retries
         for attempt in range(1 + rebuilds):
             remaining = [i for i in pending if records[i] is None]
             if not remaining:

@@ -4,7 +4,7 @@ Covers the taint model (sources, return propagation, parameter sinks,
 cross-module resolution), chain reporting, the zone gating that keeps
 tests/benchmarks out of the sink rules, and — the acceptance gate — that
 a deliberately injected wall-clock -> ``key_fragment`` flow in the *real*
-``repro/harness/parallel.py`` is caught.
+``repro/harness/settings.py`` is caught.
 """
 
 from __future__ import annotations
@@ -279,13 +279,15 @@ def test_sim014_gates_on_sim_core_only(tmp_path, monkeypatch) -> None:
 
 
 def test_injected_wall_clock_in_real_key_fragment(tmp_path, monkeypatch) -> None:
-    real = (REPO_ROOT / "src/repro/harness/parallel.py").read_text(encoding="utf-8")
+    real = (REPO_ROOT / "src/repro/harness/settings.py").read_text(encoding="utf-8")
     anchor = '"seed": self.seed,'
     assert anchor in real, "key_fragment anchor moved; update this test"
-    injected = real.replace(
-        anchor, anchor + '\n            "stamp": time.monotonic(),', 1
-    )
-    target = tmp_path / "src/repro/harness/parallel.py"
+    # The stamp is keyed by a result-shaping field name so it survives the
+    # group filter and really reaches the returned fragment.
+    injected = real.replace("import hashlib\n", "import hashlib\nimport time\n", 1)
+    injected = injected.replace(anchor, '"seed": (self.seed, time.monotonic()),', 1)
+    assert "import time\n" in injected
+    target = tmp_path / "src/repro/harness/settings.py"
     target.parent.mkdir(parents=True)
     target.write_text(injected)
     monkeypatch.chdir(tmp_path)

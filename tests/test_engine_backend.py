@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 import gc
-import json
 import pickle
 import sys
 import tracemalloc
@@ -238,14 +237,6 @@ class TestCacheKeys:
         )
         return DiskResultCache.key_of(spec.key_payload())
 
-    def test_key_fragment_is_byte_identical_across_backends(self):
-        plain = json.dumps(RunnerSettings().key_fragment(8), sort_keys=True)
-        for backend in VALID_BACKENDS:
-            knobbed = json.dumps(
-                RunnerSettings(backend=backend).key_fragment(8), sort_keys=True
-            )
-            assert knobbed == plain
-
     def test_golden_key_unchanged_by_backend(self):
         for backend in VALID_BACKENDS:
             assert self.key_of(RunnerSettings(backend=backend)) == self.GOLDEN_EP
@@ -262,7 +253,7 @@ class TestPoolBoundary:
             settings_obj = RunnerSettings(backend=backend)
             clone = pickle.loads(pickle.dumps(settings_obj))
             assert clone == settings_obj
-            assert clone.build_runner().backend == backend
+            assert ExperimentRunner(clone).settings.backend == backend
 
     def test_cluster_config_pickles(self):
         config = ClusterConfig(seed=3, backend="python")

@@ -171,13 +171,7 @@ class TestFigures:
             dyn_label="dyn",
             dyn_factory=lambda: AdaptiveQuantumPolicy(US, 100 * US),
         )
-        result = figures.figure9(
-            lambda record_traffic, timeline_bucket: ExperimentRunner(
-                seed=3, record_traffic=record_traffic, timeline_bucket=timeline_bucket
-            ),
-            config,
-            bucket=100 * US,
-        )
+        result = figures.figure9(ExperimentRunner(seed=3), config, bucket=100 * US)
         assert result.trace.total_packets > 0
         assert result.speedup_series
         assert all(speedup > 0 for _, speedup in result.speedup_series)

@@ -1,4 +1,4 @@
-"""Resumable matrices: journal semantics, ``--resume``, cache-key purity."""
+"""Resumable matrices: journal semantics and ``--resume``."""
 
 import dataclasses
 import json
@@ -10,7 +10,6 @@ from repro.core import FixedQuantumPolicy
 from repro.engine.units import MICROSECOND
 from repro.harness.configs import PolicySpec
 from repro.harness.experiment import ExperimentRunner
-from repro.harness.parallel import RunnerSettings
 from repro.workloads import PingPongWorkload
 
 US = MICROSECOND
@@ -140,6 +139,38 @@ class TestRunMatrixResume:
         assert events.count("failed") == 2
         assert MatrixJournal(journal).completed_rows() == {}
 
+    def test_batch_failure_closes_the_journal_and_resume_recomputes(
+        self, tmp_path, monkeypatch
+    ):
+        """A failing batch leaves its cells ``failed`` and the journal's
+        handle closed; a following ``resume=True`` matrix recomputes
+        exactly those cells."""
+        workload = PingPongWorkload()
+        log = MatrixJournal(tmp_path / "m.jsonl")
+        broken = ExperimentRunner(seed=3)
+        monkeypatch.setattr(
+            broken,
+            "run_many",
+            lambda requests: (_ for _ in ()).throw(RuntimeError("pool died")),
+        )
+        with pytest.raises(RuntimeError, match="pool died"):
+            broken.run_matrix(workload, (2,), SPECS, journal=log)
+        assert log._handle is None  # closed on the failing exit too
+        events = [json.loads(line) for line in log.path.read_text().splitlines()]
+        assert [e["event"] for e in events] == ["start", "start", "failed", "failed"]
+
+        resumed_runner = ExperimentRunner(seed=3)
+        counts = run_many_counter(resumed_runner, monkeypatch)
+        resumed = resumed_runner.run_matrix(
+            workload, (2,), SPECS, journal=log, resume=True
+        )
+        assert counts == [3]  # both failed cells + their injected ground truth
+        assert log._handle is None
+        reference = ExperimentRunner(seed=3).run_matrix(workload, (2,), SPECS)
+        assert [dataclasses.asdict(row) for row in resumed] == [
+            dataclasses.asdict(row) for row in reference
+        ]
+
     def test_checkpoint_dir_derives_a_journal_automatically(self, tmp_path):
         runner = ExperimentRunner(seed=3, checkpoint_dir=str(tmp_path))
         workload = PingPongWorkload()
@@ -147,32 +178,3 @@ class TestRunMatrixResume:
         derived = tmp_path / f"{workload.name}.matrix.jsonl"
         assert derived.exists()
         assert len(MatrixJournal(derived).completed_rows()) == 2
-
-
-class TestCacheKeyPurity:
-    """The robustness knobs must never reach a cache key: a checkpointed,
-    supervised, retried run is bit-identical to a plain one, so both must
-    hit the same cache entries — and fault-free keys must stay
-    byte-identical to what pre-checkpoint harness versions computed."""
-
-    def test_robustness_knobs_never_enter_key_fragment(self):
-        plain = RunnerSettings()
-        knobbed = RunnerSettings(
-            checkpoint_dir="/tmp/ckpt",
-            checkpoint_every_quanta=4,
-            resume=True,
-            run_timeout=3600.0,
-            stall_timeout=300.0,
-            retries=5,
-        )
-        assert knobbed.key_fragment(8) == plain.key_fragment(8)
-
-    def test_key_fragment_is_byte_identical_across_knobs(self):
-        plain = json.dumps(RunnerSettings().key_fragment(8), sort_keys=True)
-        knobbed = json.dumps(
-            RunnerSettings(
-                checkpoint_dir="/tmp/ckpt", resume=True, retries=2
-            ).key_fragment(8),
-            sort_keys=True,
-        )
-        assert knobbed == plain

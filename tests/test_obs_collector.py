@@ -17,7 +17,7 @@ from repro.core.quantum import AdaptiveQuantumPolicy, FixedQuantumPolicy
 from repro.engine.units import MICROSECOND
 from repro.harness.configs import PolicySpec, ground_truth_policy
 from repro.harness.experiment import ExperimentRunner
-from repro.harness.parallel import RunnerSettings, Uncacheable, record_to_json
+from repro.harness.parallel import Uncacheable, record_to_json
 from repro.metrics.traffic import TrafficTrace
 from repro.network.controller import NetworkController
 from repro.network.latency import PAPER_NETWORK
@@ -61,13 +61,6 @@ class TestTracingIsObservational:
                     assert b.obs is not None and a.obs is None
                     assert a.result == b.result, (factory, size, spec.label)
                     assert a.metric == b.metric
-
-    def test_cache_key_fragment_unchanged_by_trace(self):
-        with_trace = RunnerSettings(seed=SEED, trace=TraceConfig())
-        without = RunnerSettings(seed=SEED)
-        assert with_trace.key_fragment(4) == without.key_fragment(4)
-        assert without.cacheable
-        assert not with_trace.cacheable
 
     def test_traced_records_refuse_to_serialize(self):
         runner = ExperimentRunner(seed=SEED, trace=TraceConfig())

@@ -10,15 +10,12 @@ equal field-for-field to a serial run of the identical configuration —
 whether the run actually sharded or degraded to the serial fallback
 (whose reason is asserted too).
 
-Also covered: the partitioner's exactly-once/deterministic guarantees,
-``REPRO_SHARDS`` resolution, and the requirement that the shard count
-never enters harness cache keys (shards=1 keys must be byte-identical to
-the pre-shard serial path's).
+Also covered: the partitioner's exactly-once/deterministic guarantees and
+``REPRO_SHARDS`` resolution.  That the shard count never enters a harness
+cache key is ``tests/test_harness_settings.py``'s per-field test.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -33,7 +30,6 @@ from repro.engine.units import MICROSECOND
 from repro.faults.plan import load_plan
 from repro.harness.configs import ground_truth_policy
 from repro.harness.experiment import ExperimentRunner
-from repro.harness.parallel import RunnerSettings, RunSpec
 from repro.network import NetworkController, PAPER_NETWORK
 from repro.node import ComputeTime, Recv, SimulatedNode
 from repro.node.hostmodel import HostModelParams
@@ -155,31 +151,6 @@ def test_resolve_shards(monkeypatch):
     assert resolve_shards() == 1
     with pytest.raises(ValueError):
         resolve_shards(0)
-
-
-# ---------------------------------------------------------------------- #
-# Cache keys: the shard count must never reach them
-# ---------------------------------------------------------------------- #
-
-
-def test_shards_absent_from_cache_keys():
-    plain = RunnerSettings()
-    sharded = RunnerSettings(shards=4)
-    for size in (2, 8, 64):
-        a = json.dumps(plain.key_fragment(size), sort_keys=True)
-        b = json.dumps(sharded.key_fragment(size), sort_keys=True)
-        assert a == b  # byte-identical to the pre-shard serial path
-    spec_plain = RunSpec(
-        workload=IsWorkload(), size=8, policy=ground_truth_policy().build(),
-        label="1", settings=plain,
-    )
-    spec_sharded = RunSpec(
-        workload=IsWorkload(), size=8, policy=ground_truth_policy().build(),
-        label="1", settings=sharded,
-    )
-    assert json.dumps(spec_plain.key_payload(), sort_keys=True) == json.dumps(
-        spec_sharded.key_payload(), sort_keys=True
-    )
 
 
 # ---------------------------------------------------------------------- #
