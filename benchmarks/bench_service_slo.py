@@ -21,22 +21,30 @@ Usage::
     python benchmarks/bench_service_slo.py --quick    # CI smoke (seconds)
     python benchmarks/bench_service_slo.py --requests 1000000 --rate 1e6
 
-Writes ``benchmarks/out/bench_service_slo.json`` in the shared
-``repro-bench/1`` schema and prints the comparison table.
+Writes ``benchmarks/out/bench_service_slo.json`` (a ``meta`` block
+describing the host and the sweep, and one ``cases`` entry per policy)
+and prints the comparison table.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+REPO_ROOT = Path(__file__).resolve().parent.parent
+# Runs as a plain script (its directory, with conftest, is already on the
+# path): find the in-tree sources without needing PYTHONPATH.
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from benchlib import BENCH_SEED, REPO_ROOT, US, bench_meta, write_report
+from conftest import BENCH_SEED
 
 from repro.core.quantum import AdaptiveQuantumPolicy, FixedQuantumPolicy
+from repro.engine.units import MICROSECOND as US
 from repro.harness.configs import PolicySpec
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.report import format_table, percent, service_report, times
@@ -148,14 +156,19 @@ def main() -> int:
     print()
     print(service_report(sweep["stats_rows"]))
 
-    meta = bench_meta(
-        generated_by="bench_service_slo.py",
-        quick=args.quick,
-        size=args.size,
-        requests=requests,
-        rate_per_sec=args.rate,
-    )
-    write_report(out, meta, sweep["cases"])
+    meta = {
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count() or 1,
+        "seed": BENCH_SEED,
+        "generated_by": "bench_service_slo.py",
+        "quick": args.quick,
+        "size": args.size,
+        "requests": requests,
+        "rate_per_sec": args.rate,
+    }
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps({"meta": meta, "cases": sweep["cases"]}, indent=2) + "\n")
     print(f"\n[saved to {out}]")
 
     # The thesis this benchmark exists to demonstrate: the adaptive

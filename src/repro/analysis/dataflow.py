@@ -755,16 +755,6 @@ class _Program:
                 return
 
 
-def _taint_of_atom(program: _Program, atom: Atom) -> Optional[_Taint]:
-    """The taint carried by one influencer atom, if any."""
-    if atom[0] == "src":
-        _, kind, name, line = atom
-        return _Taint(kind, name, [])  # source site filled in by caller
-    if atom[0] == "ret":
-        return program.ret_taint.get(atom[1])
-    return None
-
-
 def analyze(summaries: list[dict[str, Any]], source_lines=None) -> list[Finding]:
     """Run the whole-program determinism dataflow; returns sorted findings.
 

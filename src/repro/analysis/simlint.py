@@ -139,13 +139,6 @@ def _findings_of_index(indexed: list[IndexedFile]) -> list[Finding]:
     return findings
 
 
-def lint_paths(
-    paths: Sequence[str], rules: Optional[set[str]] = None
-) -> list[Finding]:
-    """Back-compat alias for :func:`run_lint` (cache enabled)."""
-    return run_lint(paths, rules)
-
-
 def _json_report(
     active: list[Finding],
     suppressed: list[Finding],

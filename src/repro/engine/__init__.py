@@ -5,10 +5,8 @@ deterministic discrete-event engine with
 
 * integer-nanosecond simulated time (:mod:`repro.engine.units`),
 * a cancellable binary-heap event queue (:mod:`repro.engine.events`),
-* generator-based cooperative processes (:mod:`repro.engine.process`),
-* named, reproducible random-number streams (:mod:`repro.engine.rng`), and
-* a generic single-timeline simulator loop (:mod:`repro.engine.simulator`)
-  used by tests and by the non-quantum synchronization baselines.
+* generator-based cooperative processes (:mod:`repro.engine.process`), and
+* named, reproducible random-number streams (:mod:`repro.engine.rng`).
 
 The quantum-synchronized *cluster* driver (the paper's subject) lives in
 :mod:`repro.core` and builds on these pieces.
@@ -17,7 +15,6 @@ The quantum-synchronized *cluster* driver (the paper's subject) lives in
 from repro.engine.events import Event, EventQueue
 from repro.engine.process import Process, ProcessExit
 from repro.engine.rng import RngStreams
-from repro.engine.simulator import Simulator
 from repro.engine.units import (
     MICROSECOND,
     MILLISECOND,
@@ -36,7 +33,6 @@ __all__ = [
     "Process",
     "ProcessExit",
     "RngStreams",
-    "Simulator",
     "NANOSECOND",
     "MICROSECOND",
     "MILLISECOND",

@@ -1091,21 +1091,6 @@ queue_pop(QueueObject *self, PyObject *noargs)
 }
 
 static PyObject *
-queue_pop_before(QueueObject *self, PyObject *limit_obj)
-{
-    long long limit = PyLong_AsLongLong(limit_obj);
-    if (limit == -1 && PyErr_Occurred())
-        return NULL;
-    if (drop_dead(self) < 0)
-        return NULL;
-    if (self->n == 0 || self->heap[0].time >= limit)
-        Py_RETURN_NONE;
-    qentry entry = heap_pop_root(self);
-    self->live -= 1;
-    return entry.event;  /* transfer ownership */
-}
-
-static PyObject *
 queue_clear(QueueObject *self, PyObject *noargs)
 {
     Py_ssize_t n = self->n;
@@ -1216,73 +1201,6 @@ error:
     self->dead = 0;
     Py_DECREF(batch);
     return NULL;
-}
-
-/* ------------------------------------------------------------------ */
-/* pop_until iterator                                                 */
-/* ------------------------------------------------------------------ */
-
-typedef struct {
-    PyObject_HEAD
-    QueueObject *queue;  /* owned */
-    long long limit;
-} PopUntilObject;
-
-static PyTypeObject PopUntil_Type;
-
-static void
-popuntil_dealloc(PopUntilObject *self)
-{
-    PyObject_GC_UnTrack(self);
-    Py_CLEAR(self->queue);
-    PyObject_GC_Del(self);
-}
-
-static int
-popuntil_traverse(PopUntilObject *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->queue);
-    return 0;
-}
-
-static PyObject *
-popuntil_next(PopUntilObject *self)
-{
-    QueueObject *q = self->queue;
-    if (drop_dead(q) < 0)
-        return NULL;
-    if (q->n == 0 || q->heap[0].time >= self->limit)
-        return NULL;  /* StopIteration */
-    qentry entry = heap_pop_root(q);
-    q->live -= 1;
-    return entry.event;
-}
-
-static PyTypeObject PopUntil_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.engine._native._pop_until_iterator",
-    .tp_basicsize = sizeof(PopUntilObject),
-    .tp_dealloc = (destructor)popuntil_dealloc,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_traverse = (traverseproc)popuntil_traverse,
-    .tp_iter = PyObject_SelfIter,
-    .tp_iternext = (iternextfunc)popuntil_next,
-};
-
-static PyObject *
-queue_pop_until(QueueObject *self, PyObject *limit_obj)
-{
-    long long limit = PyLong_AsLongLong(limit_obj);
-    if (limit == -1 && PyErr_Occurred())
-        return NULL;
-    PopUntilObject *it = PyObject_GC_New(PopUntilObject, &PopUntil_Type);
-    if (it == NULL)
-        return NULL;
-    Py_INCREF(self);
-    it->queue = self;
-    it->limit = limit;
-    PyObject_GC_Track((PyObject *)it);
-    return (PyObject *)it;
 }
 
 /* ------------------------------------------------------------------ */
@@ -2989,10 +2907,6 @@ static PyMethodDef queue_methods[] = {
      "Return the time of the next live event, or None if empty."},
     {"pop", (PyCFunction)queue_pop, METH_NOARGS,
      "Remove and return the next live event (IndexError when empty)."},
-    {"pop_before", (PyCFunction)queue_pop_before, METH_O,
-     "Pop the next live event if its time is < limit, else None."},
-    {"pop_until", (PyCFunction)queue_pop_until, METH_O,
-     "Yield live events with time < limit in order, removing them."},
     {"drain", (PyCFunction)queue_drain, METH_VARARGS,
      "Pop and dispatch every node event before *end*; returns "
      "(handled, next_event_time)."},
@@ -3266,8 +3180,7 @@ PyInit__native(void)
         return NULL;
     }
 
-    if (PyType_Ready(&Event_Type) < 0 || PyType_Ready(&Queue_Type) < 0 ||
-        PyType_Ready(&PopUntil_Type) < 0)
+    if (PyType_Ready(&Event_Type) < 0 || PyType_Ready(&Queue_Type) < 0)
         return NULL;
 
     PyObject *module = PyModule_Create(&native_module);

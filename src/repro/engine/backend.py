@@ -173,22 +173,6 @@ def queue_class(backend: str) -> type:
     raise ValueError(f"not a concrete backend: {backend!r}")
 
 
-def event_class(backend: str) -> type:
-    """The Event implementation for a *concrete* backend name."""
-    if backend == "python":
-        from repro.engine.events import Event
-
-        return Event
-    if backend == "native":
-        module = native_module()
-        if module is None:
-            raise RuntimeError(
-                f"native backend unavailable: {native_unavailable_reason()}"
-            )
-        return module.Event  # type: ignore[no-any-return]
-    raise ValueError(f"not a concrete backend: {backend!r}")
-
-
 def native_target_path() -> Path:
     """Where the compiled module lives (next to the engine package)."""
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 from sys import intern as _intern
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.engine.units import SimTime
 
@@ -255,24 +255,6 @@ class EventQueue:
                 return event
             self._dead -= 1
         raise IndexError("pop from empty EventQueue")
-
-    def pop_until(self, limit: SimTime) -> Iterator[Event]:
-        """Yield live events with ``time < limit`` in order, removing them."""
-        while True:
-            event = self.peek()
-            if event is None or event.time >= limit:
-                return
-            yield self.pop()
-
-    def pop_before(self, limit: SimTime) -> Optional[Event]:
-        """Pop the next live event if its time is ``< limit``, else ``None``."""
-        self._drop_dead()
-        heap = self._heap
-        if not heap or heap[0][0] >= limit:
-            return None
-        event = heapq.heappop(heap)[2]
-        self._live -= 1
-        return event
 
     def handle_next(self, node: Any) -> Optional[SimTime]:
         """Pop the earliest live event and dispatch it on *node*.

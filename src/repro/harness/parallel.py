@@ -68,6 +68,7 @@ from repro.harness.settings import (
     _describe_component,
     _jsonable,
 )
+from repro.harness.supervise import retry_transient
 from repro.network.controller import ControllerStats
 from repro.node.node import NodeStats
 from repro.node.transport import TransportStats
@@ -486,7 +487,7 @@ class ParallelRunner(ExperimentRunner):
                 self._note(done, total, specs[index], wall, source)
             return records  # type: ignore[return-value]
 
-        fallback = self._run_pool(specs, pending, records, workers, done, total)
+        fallback = self._run_pool(specs, pending, records, workers, total)
         fallback_set = set(fallback)
         for index in fallback:
             record, wall = self._run_local(specs[index], payloads[index])
@@ -510,7 +511,6 @@ class ParallelRunner(ExperimentRunner):
         pending: list[int],
         records: list[Optional[ExperimentRecord]],
         workers: int,
-        done: int,
         total: int,
     ) -> list[int]:
         """Dispatch *pending* specs; returns indices needing serial retry.
@@ -527,28 +527,29 @@ class ParallelRunner(ExperimentRunner):
         bit-identically, so retrying would only mask them.  Attempt counts
         are surfaced through ``last_fallback_reason``.
         """
-        from repro.harness.supervise import BACKOFF_BASE_SECONDS
-
         rebuilds = 1 + self.settings.retries
-        for attempt in range(1 + rebuilds):
-            remaining = [i for i in pending if records[i] is None]
-            if not remaining:
-                return []
-            done, survived = self._pool_pass(specs, remaining, records, workers, done, total)
-            if survived:
-                return []
-            if attempt < rebuilds:
-                delay = BACKOFF_BASE_SECONDS * (2**attempt)
-                self._note_fallback(
-                    f"worker pool died mid-batch (attempt "
-                    f"{attempt + 1}/{1 + rebuilds}); rebuilding in {delay:.1f}s"
-                )
-                time.sleep(delay)
-        self._note_fallback(
-            f"worker pool died {1 + rebuilds} times; "
-            "finishing the batch serially"
-        )
-        return [i for i in pending if records[i] is None]
+
+        def note_rebuild(_error: BaseException, attempt: int, delay: float) -> None:
+            self._note_fallback(
+                f"worker pool died mid-batch (attempt "
+                f"{attempt}/{1 + rebuilds}); rebuilding in {delay:.1f}s"
+            )
+
+        try:
+            run_error = retry_transient(
+                lambda: self._pool_pass(specs, pending, records, workers, total),
+                rebuilds,
+                on_retry=note_rebuild,
+            )
+        except BrokenProcessPool:
+            self._note_fallback(
+                f"worker pool died {1 + rebuilds} times; "
+                "finishing the batch serially"
+            )
+            return [i for i in pending if records[i] is None]
+        if run_error is not None:
+            raise run_error
+        return []
 
     def _pool_pass(
         self,
@@ -556,34 +557,47 @@ class ParallelRunner(ExperimentRunner):
         pending: list[int],
         records: list[Optional[ExperimentRecord]],
         workers: int,
-        done: int,
         total: int,
-    ) -> tuple[int, bool]:
-        """One pool lifetime; False when the pool broke with work left."""
+    ) -> Optional[Exception]:
+        """One pool lifetime over the still-unfinished *pending* runs.
+
+        Raises :class:`BrokenProcessPool` when the pool broke with work
+        left; returns the error a run itself ended with, None when every
+        run finished.
+        """
+        done = sum(1 for record in records if record is not None)
         executor = ProcessPoolExecutor(max_workers=workers)
         futures = {}
         try:
             for index in pending:
-                futures[executor.submit(_execute, index, specs[index])] = index
+                if records[index] is None:
+                    futures[executor.submit(_execute, index, specs[index])] = index
             not_done = set(futures)
             while not_done:
                 finished, not_done = wait(not_done, return_when=FIRST_COMPLETED)
                 for future in finished:
                     try:
                         index, record, wall = future.result()
-                    except (BrokenProcessPool, pickle.PicklingError):
-                        # Transient: a worker died (OOM, signal) or a
-                        # result cannot cross the process boundary.
+                    except BrokenProcessPool:
+                        # Transient: a worker died (OOM, signal).
                         # Everything not yet gathered is retried by the
-                        # caller.  Any other exception — InvariantViolation,
+                        # caller.
+                        raise
+                    except pickle.PicklingError as error:
+                        # A result that cannot cross the process boundary
+                        # is handled like a dead worker.
+                        raise BrokenProcessPool(str(error)) from error
+                    except Exception as error:
+                        # Any other exception — InvariantViolation,
                         # DeadlockError, a RunTimeout whose in-worker
-                        # retries are already spent — propagates: those are
-                        # properties of the run, not the infrastructure.
-                        return done, False
+                        # retries are already spent — is a property of the
+                        # run, not the infrastructure: handed back so the
+                        # caller raises it without a pool-level retry.
+                        return error
                     records[index] = record
                     done += 1
                     self._note(done, total, specs[index], wall, "worker")
-            return done, True
+            return None
         except KeyboardInterrupt:
             # Kill in-flight work so Ctrl-C returns promptly instead of
             # waiting out multi-second simulation runs.

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Protocol
+from typing import TYPE_CHECKING, Iterable, Optional, Protocol
 
 from repro.engine.units import SimTime
 from repro.network.latency import LatencyModel, NicSwitchLatencyModel, UniformLatencyModel
@@ -119,23 +119,21 @@ class NetworkController:
         num_nodes: int,
         latency_model: LatencyModel,
         cluster: Optional[ClusterState] = None,
-        trace: Optional[Callable[[SimTime, int, int, int], None]] = None,
     ) -> None:
         if num_nodes < 2:
             raise ValueError("a cluster needs at least two nodes")
         self.num_nodes = num_nodes
         self.latency_model = latency_model
         self.cluster = cluster
-        self.trace = trace
         self.stats = ControllerStats()
         self.packets_this_quantum = 0
         self._sanitizer: Optional["CausalitySanitizer"] = None
         self._injector: Optional["FaultInjector"] = None
         self._collector: Optional["TraceCollector"] = None
-        #: True while no fault injector, sanitizer, collector, or legacy
-        #: trace callable is attached: the unicast submission path then
-        #: skips all observer plumbing (the hot path of clean runs).
-        self._plain = trace is None
+        #: True while no fault injector, sanitizer or collector is
+        #: attached: the unicast submission path then skips all observer
+        #: plumbing (the hot path of clean runs).
+        self._plain = True
         self._future: list[tuple[SimTime, int, DeliveryDecision]] = []
         self._future_seq = 0
         #: Latency results may be memoized only for the known-pure stock
@@ -152,7 +150,6 @@ class NetworkController:
             self._injector is None
             and self._sanitizer is None
             and self._collector is None
-            and self.trace is None
         )
 
     # The observers are plain-looking attributes assigned by the driver
@@ -185,8 +182,7 @@ class NetworkController:
     def collector(self) -> Optional["TraceCollector"]:
         """Trace collector observing every delivery decision and fault
         verdict; set by the driver when the run is traced (see
-        :mod:`repro.obs`).  The legacy ``trace`` callable remains for
-        direct construction; the harness routes through this."""
+        :mod:`repro.obs`)."""
         return self._collector
 
     @collector.setter
@@ -222,7 +218,7 @@ class NetworkController:
             if not 0 <= dst < self.num_nodes:
                 raise ValueError(f"destination {dst} out of range")
             if self._plain:
-                # No injector, sanitizer, collector, or trace attached:
+                # No injector, sanitizer or collector attached:
                 # decide and account inline, skipping every observer hook
                 # (and the zero delay-error bookkeeping of exact kinds).
                 # Results are identical to _decide + _account.
@@ -309,8 +305,8 @@ class NetworkController:
         if self.cluster is None:
             raise RuntimeError("controller is not bound to a cluster")
         if not self._plain:
-            # Sanitizer (or legacy trace callable) attached: take the
-            # ordinary per-frame path so every observer fires in order.
+            # An observer is attached: take the ordinary per-frame path
+            # so every observer fires in order.
             for host_time, _node, _order, packet in pending:
                 if self.submit(packet, host_time):
                     raise RuntimeError(
@@ -468,9 +464,6 @@ class NetworkController:
             self.sanitizer.on_decision(decision)
         if self.collector is not None:
             self.collector.on_packet(decision.packet, kind.value)
-        if self.trace is not None:
-            packet = decision.packet
-            self.trace(packet.send_time, packet.src, packet.dst, packet.size_bytes)
 
     def _hold(self, decision: DeliveryDecision) -> None:
         heapq.heappush(

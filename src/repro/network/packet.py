@@ -31,12 +31,6 @@ FRAME_HEADER_BYTES = 66
 _packet_ids = itertools.count()
 
 
-def reset_packet_ids() -> None:
-    """Restart the global packet-id counter (test isolation helper)."""
-    global _packet_ids
-    _packet_ids = itertools.count()
-
-
 def packet_id_position() -> int:
     """The id the next packet will receive (non-destructive peek)."""
     global _packet_ids

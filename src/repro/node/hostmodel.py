@@ -187,10 +187,6 @@ class HostExecutionModel:
         """Vectorised :meth:`busy_base_at` (constant here)."""
         return np.full(len(times), self.params.busy_slowdown)
 
-    def mean_slowdown(self, activity: str) -> float:
-        """Expected slowdown (jitter is mean-one by construction)."""
-        return self._base(activity) * self.node_factor
-
     def expected_max_slowdown(self, activity: str, num_nodes: int) -> float:
         """Crude estimate of E[max over nodes] used only for reporting.
 

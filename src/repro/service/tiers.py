@@ -124,10 +124,6 @@ class TierPlan:
             next_rank += count
         return cls(tiers=tuple(tiers), source=0)
 
-    @property
-    def num_tiers(self) -> int:
-        return len(self.tiers)
-
     def tier_of(self, rank: int) -> int:
         """Tier index of *rank* (-1 for the source)."""
         if rank == self.source:

@@ -430,12 +430,6 @@ _ops = st.lists(
         ),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=200)),
         st.tuples(st.just("pop"), st.just(0)),
-        st.tuples(
-            st.just("pop_before"), st.integers(min_value=0, max_value=600)
-        ),
-        st.tuples(
-            st.just("pop_until"), st.integers(min_value=0, max_value=600)
-        ),
         st.tuples(st.just("handle_next"), st.just(0)),
     ),
     min_size=1,
@@ -529,23 +523,6 @@ def test_event_queue_differential(ops):
                 popped = [queue.pop() for queue in queues]
                 assert _fingerprint(popped[0]) == _fingerprint(popped[1])
                 for event, record in zip(popped, live):
-                    record.remove(event)
-        elif op == "pop_before":
-            first = queues[0].pop_before(arg)
-            second = queues[1].pop_before(arg)
-            if first is None or second is None:
-                assert first is None and second is None
-            else:
-                assert _fingerprint(first) == _fingerprint(second)
-                for event, record in zip((first, second), live):
-                    record.remove(event)
-        elif op == "pop_until":
-            drained = [list(queue.pop_until(arg)) for queue in queues]
-            assert [
-                [_fingerprint(e) for e in events] for events in drained
-            ][0] == [[_fingerprint(e) for e in events] for events in drained][1]
-            for events, record in zip(drained, live):
-                for event in events:
                     record.remove(event)
         elif op == "handle_next":
             outcomes = []

@@ -92,14 +92,6 @@ class TestEventQueue:
         assert queue.peek().tag == "x"
         assert len(queue) == 1
 
-    def test_pop_until_respects_limit(self):
-        queue = EventQueue()
-        for time in (1, 5, 9, 10, 11):
-            queue.schedule(time)
-        popped = [event.time for event in queue.pop_until(10)]
-        assert popped == [1, 5, 9]
-        assert queue.peek_time() == 10
-
     def test_clear(self):
         queue = EventQueue()
         queue.schedule(1)

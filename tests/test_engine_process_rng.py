@@ -1,9 +1,9 @@
-"""Tests for coroutine processes, RNG streams, units, and the sequential loop."""
+"""Tests for coroutine processes, RNG streams and units."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.engine import Process, ProcessExit, RngStreams, Simulator
+from repro.engine import Process, ProcessExit, RngStreams
 from repro.engine.process import ProcessError
 from repro.engine import units
 
@@ -151,62 +151,3 @@ class TestUnits:
     def test_property_microseconds_scale(self, value):
         assert units.microseconds(value) == round(value * 1000)
 
-
-class TestSimulator:
-    def test_runs_events_in_order(self):
-        sim = Simulator()
-        log = []
-        sim.schedule_at(20, lambda: log.append("b"))
-        sim.schedule_at(10, lambda: log.append("a"))
-        sim.run()
-        assert log == ["a", "b"]
-        assert sim.now == 20
-        assert sim.events_fired == 2
-
-    def test_schedule_after_uses_current_time(self):
-        sim = Simulator()
-        log = []
-
-        def chain():
-            log.append(sim.now)
-            if len(log) < 3:
-                sim.schedule_after(5, chain)
-
-        sim.schedule_at(0, chain)
-        sim.run()
-        assert log == [0, 5, 10]
-
-    def test_cannot_schedule_into_past(self):
-        sim = Simulator()
-        sim.schedule_at(10, lambda: None)
-        sim.run()
-        with pytest.raises(ValueError):
-            sim.schedule_at(5)
-        with pytest.raises(ValueError):
-            sim.schedule_after(-1)
-
-    def test_run_until_stops_clock_at_limit(self):
-        sim = Simulator()
-        sim.schedule_at(100, lambda: None)
-        stopped = sim.run(until=50)
-        assert stopped == 50
-        assert len(sim.queue) == 1
-
-    def test_run_until_with_empty_queue_advances_clock(self):
-        sim = Simulator()
-        assert sim.run(until=30) == 30
-
-    def test_max_events(self):
-        sim = Simulator()
-        for time in range(10):
-            sim.schedule_at(time)
-        sim.run(max_events=4)
-        assert sim.events_fired == 4
-
-    def test_stop_from_inside_event(self):
-        sim = Simulator()
-        sim.schedule_at(1, sim.stop)
-        sim.schedule_at(2, lambda: None)
-        sim.run()
-        assert sim.now == 1
-        assert len(sim.queue) == 1

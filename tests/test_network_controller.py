@@ -9,6 +9,7 @@ from repro.network import (
     Packet,
     UniformLatencyModel,
 )
+from repro.obs.collector import TraceCollector, TraceConfig
 
 
 class FakeCluster:
@@ -163,8 +164,10 @@ class TestAccounting:
     def test_trace_callback_sees_every_copy(self):
         seen = []
         cluster = FakeCluster(0, 10_000, [1000] * 3)
-        controller = NetworkController(
-            3, UniformLatencyModel(1000), trace=lambda t, s, d, b: seen.append((t, s, d, b))
+        controller = NetworkController(3, UniformLatencyModel(1000))
+        controller.collector = TraceCollector(TraceConfig(capacity=0))
+        controller.collector.add_packet_listener(
+            lambda t, s, d, b: seen.append((t, s, d, b))
         )
         controller.bind(cluster)
         controller.submit(Packet(src=0, dst=BROADCAST, size_bytes=64, send_time=5), 0.0)

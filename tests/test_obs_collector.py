@@ -18,10 +18,6 @@ from repro.engine.units import MICROSECOND
 from repro.harness.configs import PolicySpec, ground_truth_policy
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.parallel import Uncacheable, record_to_json
-from repro.metrics.traffic import TrafficTrace
-from repro.network.controller import NetworkController
-from repro.network.latency import PAPER_NETWORK
-from repro.node.node import SimulatedNode
 from repro.obs.collector import TraceCollector, TraceConfig, run_slug
 from repro.obs.events import PacketTrace, QuantumEnd
 from repro.workloads import EpWorkload, IsWorkload
@@ -173,45 +169,19 @@ class TestCollectorMechanics:
 
 
 class TestTrafficTraceRebase:
-    def test_collector_conduit_matches_legacy_controller_hook(self):
-        """The rebased TrafficTrace sees exactly what the legacy hook saw."""
-        # New path: record_traffic installs the trace as a collector
-        # listener (zero-ring conduit) inside ExperimentRunner.run.
-        runner = ExperimentRunner(seed=SEED, record_traffic=True)
-        record = runner.run_spec(_is(), 4, _adaptive())
-        rebased = record.trace
-        assert rebased is not None
-
-        # Legacy path: the controller's own trace callable, driven by a
-        # hand-built simulator identical to the runner's construction.
-        from repro.core.cluster import ClusterConfig, ClusterSimulator
-
-        legacy = TrafficTrace(4)
-        workload = _is()
-        nodes = [
-            SimulatedNode(rank, app) for rank, app in enumerate(workload.build_apps(4))
-        ]
-        controller = NetworkController(4, PAPER_NETWORK(4), trace=legacy.record)
-        simulator = ClusterSimulator(
-            nodes,
-            controller,
-            AdaptiveQuantumPolicy(MICROSECOND, 1000 * MICROSECOND),
-            ClusterConfig(seed=SEED),
-        )
-        result = simulator.run()
-        assert result == record.result
-        assert legacy.samples == rebased.samples
-        assert legacy.total_packets == rebased.total_packets
-        assert legacy.total_bytes == rebased.total_bytes
-
     def test_conduit_keeps_no_events(self):
         runner = ExperimentRunner(seed=SEED, record_traffic=True)
         record = runner.run_spec(_ep(), 2, _adaptive())
         # record_traffic alone does not expose a collector on the record...
         assert record.obs is None
         assert runner.traced_runs == []
-        # ...and the trace itself carries the traffic series.
+        # ...and the trace itself carries the traffic series: the listener
+        # saw every frame the controller routed.
         assert record.trace.total_packets > 0
+        assert (
+            record.trace.total_packets
+            == record.result.controller_stats.packets_routed
+        )
 
 
 class TestParallelFarm:
