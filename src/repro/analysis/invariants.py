@@ -162,6 +162,10 @@ class CausalitySanitizer:
         """Enable the per-node barrier checks against *cluster*."""
         self._cluster = cluster
 
+    def detach(self) -> None:
+        """Drop the cluster reference (its run is over)."""
+        self._cluster = None
+
     # ------------------------------------------------------------------ #
     # Hooks (called by the driver and the controller)
     # ------------------------------------------------------------------ #

@@ -579,6 +579,53 @@ class ClusterSimulator:
     # ------------------------------------------------------------------ #
 
     def run(self) -> RunResult:
+        """Run the cluster to completion or to ``config.sim_time_limit``.
+
+        A simulator runs once.  However the run ends — completed, stopped
+        at the time limit, or raising (``DeadlockError``,
+        ``InvariantViolation``, the watchdog's ``RunTimeout``, an
+        application's own exception) — it releases every reference that
+        ties the run's objects into a cycle back to the simulator: the
+        nodes' emit/activity hooks, the controller's binding, the stepper,
+        the sanitizer's attachment, and the native queues' cached binding
+        to their node.  A finished simulator is therefore freed by
+        reference counting as soon as its last reference goes, not by a
+        later ``gc`` pass.  What it computed stays readable (``perf``,
+        ``collector``, ``backend``, the nodes and their stats); it cannot
+        run again — a second call raises ``RuntimeError``.  To continue a
+        run, restore a snapshot onto a fresh simulator
+        (:func:`repro.checkpoint.snapshot.restore_snapshot`) and run that.
+        """
+        # Releasing unbinds the controller, so an unbound controller marks
+        # a simulator whose run is over.
+        if self.controller.cluster is not self:
+            raise RuntimeError(
+                "this simulator has already run: a ClusterSimulator runs "
+                "once; build a fresh one (restore a snapshot onto it to "
+                "continue a run)"
+            )
+        try:
+            return self._quantum_loop()
+        finally:
+            self._release()
+
+    def _release(self) -> None:
+        """Cut the run's reference cycles through the simulator."""
+        self._stepper = None
+        self.controller.cluster = None
+        if self.sanitizer is not None:
+            self.sanitizer.detach()
+        for node in self.nodes:
+            node.emit_hook = None
+            node.activity_hook = None
+            # Reloading a queue with its own live events drops the native
+            # core's cached binding to the node (node -> queue -> binding
+            # -> node); the python queue holds none.  A completed run's
+            # queues are empty; a stopped run's keep their pending events.
+            queue = node.queue
+            queue.restore_events(queue.live_events(), queue._next_seq)
+
+    def _quantum_loop(self) -> RunResult:
         config = self.config
         controller = self.controller
         policy = self.policy
