@@ -43,7 +43,7 @@ every piece of arithmetic and accounting to the loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -278,13 +278,15 @@ class _JitterFeed:
     """Row-major prefetch of per-quantum jitter draws across all nodes.
 
     The vectorized stepper consumes one jitter draw per node per quantum —
-    exactly like the scalar path — but wants them as a ``(N,)`` row (event
-    windows) or ``(count, N)`` matrix (fast-forward spans).  The feed pulls
-    blocks from each node's private stream via
+    exactly like the scalar path — but wants them as a ``(N,)`` row per
+    event window.  The feed pulls blocks of ``_BLOCK`` rows from each
+    node's private stream via
     :meth:`~repro.node.hostmodel.HostExecutionModel.take_jitter`, so draw
     *i* of node *n* is the same number the scalar path would have drawn for
     node *n*'s *i*-th quantum: batching changes only the access pattern,
-    never the values.
+    never the values.  A fast-forward span takes its draws one node at a
+    time (:meth:`node_draws`), so the feed holds at most ``_BLOCK`` x N
+    draws and a span never builds an ``(N, count)`` matrix.
     """
 
     _BLOCK = 256
@@ -315,32 +317,30 @@ class _JitterFeed:
         self._cursor += 1
         return row
 
-    def rows(self, count: int) -> np.ndarray:
-        """The next *count* draws per node, shape ``(N, count)``.
+    def node_draws(self, count: int) -> Iterator[np.ndarray]:
+        """Each node's next *count* draws, node 0 first, one array at a time.
 
-        Node-major layout: row *i* is node *i*'s next *count* draws,
-        contiguous, so the fast-forward accelerator reads and fills each
-        node's stream without strided column access.  The draws are the
-        same numbers :meth:`row` would have produced quantum by quantum —
-        only the memory layout differs.
+        A node's draws are the feed's prefetched head rows first, then its
+        own stream — the same numbers :meth:`row` would have produced
+        quantum by quantum.  Taking the first array claims the head rows
+        for every node, so a caller takes all N.
         """
         models = self._models
         if self._ones_row is not None:
-            return np.ones((len(models), count))
-        have = len(self._matrix) - self._cursor
-        take = min(have, count)
-        rest = count - take
-        # Fill one output block: prefetched head rows first (transposed
-        # into node-major order), then each node's remaining draws straight
-        # from its stream into its contiguous row.
-        out = np.empty((len(models), count))
-        if take:
-            out[:, :take] = self._matrix[self._cursor : self._cursor + take].T
-            self._cursor += take
-        if rest:
-            for index, model in enumerate(models):
-                out[index, take:] = model.take_jitter(rest)
-        return out
+            ones = np.ones(count)
+            for _ in models:
+                yield ones
+            return
+        head = self._matrix[self._cursor : self._cursor + count]
+        self._cursor += len(head)
+        rest = count - len(head)
+        for index, model in enumerate(models):
+            if not rest:
+                yield head[:, index]
+            elif not len(head):
+                yield model.take_jitter(rest)
+            else:
+                yield np.concatenate((head[:, index], model.take_jitter(rest)))
 
     def _fetch(self, rows: int) -> np.ndarray:
         matrix = np.empty((rows, len(self._models)))
@@ -885,13 +885,14 @@ class ClusterSimulator:
 
         No events means no activity transitions, so each node advances each
         skipped quantum at a single rate and the span costs the per-quantum
-        maximum slowdown over nodes.  Only how that maximum is formed
-        varies: one slowdown vector per node from its host model (the
-        reference; batched runs with a sampling schedule or host stalls
-        feed it the same jitter through the shared feed), or — homogeneous
-        batched runs — one ``(base * node_factor) * jitter`` product per
-        node over the feed's rows.  The per-element float operations are
-        the same either way.
+        maximum slowdown over nodes.  The maximum is reduced node by node
+        over each node's own draws (:meth:`_JitterFeed.node_draws`), so a
+        chunk of *count* quanta holds O(count) floats, not O(N x count).
+        Only each node's slowdown vector varies: its host model's formula
+        (runs with a sampling schedule or host stalls), or one
+        ``(base * node_factor) * jitter`` product over a per-node
+        coefficient.  The per-element float operations are the same either
+        way.
         """
         sanitizer = self.sanitizer
         collector = self.collector
@@ -902,14 +903,33 @@ class ClusterSimulator:
             if self.injector is not None and self.injector.plan.stalls
             else None
         )
-        homogeneous = batched and not self._sampling and stalls is None
-        if homogeneous:
-            coeff = (
-                np.where(self._busy_mask, self._busy_bases, self._idle_bases)
-                * self._node_factors
-            )
-        else:
+        coeff: Optional[np.ndarray] = None
+        if self._sampling or stalls is not None:
             activities = [node.activity for node in self.nodes]
+        else:
+            # Only batched steppers keep the busy mask current, and it is
+            # the only activity record a shard parent has.
+            busy = (
+                self._busy_mask
+                if batched
+                else [node.activity == BUSY for node in self.nodes]
+            )
+            coeff = np.where(busy, self._busy_bases, self._idle_bases) * self._node_factors
+
+        def slowdowns(node_id: int, jitter: np.ndarray) -> np.ndarray:
+            # Always a fresh array, so the in-place maximum below never
+            # writes into a node's draws.
+            if coeff is not None:
+                return jitter * coeff[node_id]
+            slow = self.host_models[node_id].slowdowns_from(
+                jitter, activities[node_id], starts
+            )
+            if stalls is not None:
+                factors = stalls.stall_factors(node_id, starts, ends)
+                if factors is not None:
+                    slow = slow * factors
+            return slow
+
         while True:
             now = state.now
             lengths, next_state = self.policy.idle_chunk(
@@ -918,38 +938,18 @@ class ClusterSimulator:
             count = len(lengths)
             if count == 0:
                 return
-            jitter = self._feed.rows(count) if batched else None
-            if homogeneous:
-                # Accumulated node by node over the feed's contiguous
-                # per-node rows: small cache-resident temporaries instead
-                # of one (N, count) product matrix.
-                assert jitter is not None
-                max_slow = jitter[0] * coeff[0]
-                for node_id in range(1, len(coeff)):
-                    np.maximum(
-                        max_slow, jitter[node_id] * coeff[node_id], out=max_slow
-                    )
-            else:
+            if coeff is None:
                 starts = now + np.concatenate(([0], np.cumsum(lengths[:-1])))
                 if stalls is not None:
                     ends = starts + lengths
-                for node_id, model in enumerate(self.host_models):
-                    if jitter is None:
-                        slow = model.slowdowns(count, activities[node_id], starts)
-                    else:
-                        slow = model.slowdowns_from(
-                            jitter[node_id], activities[node_id], starts
-                        )
-                    if stalls is not None:
-                        factors = stalls.stall_factors(node_id, starts, ends)
-                        if factors is not None:
-                            slow = slow * factors
-                    if node_id == 0:
-                        max_slow = slow
-                    else:
-                        np.maximum(max_slow, slow, out=max_slow)
-                if stalls is not None:
-                    stalls.on_quanta(starts, ends)
+            # Node by node, binding nothing: each node's draws and product
+            # are freed before the next node draws.
+            draws = self._feed.node_draws(count)
+            max_slow = slowdowns(0, next(draws))
+            for node_id in range(1, len(self.nodes)):
+                np.maximum(max_slow, slowdowns(node_id, next(draws)), out=max_slow)
+            if stalls is not None:
+                stalls.on_quanta(starts, ends)
             node_cost = float((lengths * max_slow).sum()) / 1e9
             span = int(lengths.sum())
             barrier_total = barrier_cost * count

@@ -136,14 +136,16 @@ class NetworkController:
         self._plain = True
         self._future: list[tuple[SimTime, int, DeliveryDecision]] = []
         self._future_seq = 0
-        #: Latency results may be memoized only for the known-pure stock
-        #: models (latency is then a function of ``(src, dst, size)``);
-        #: custom or subclassed models are never cached.
-        self._latency_pure = type(latency_model) is UniformLatencyModel or (
+        #: Latency by frame size, memoized only for the known-pure stock
+        #: models, whose latency depends on nothing else (a constant, or
+        #: NIC minimum + serialization + one path latency shared by every
+        #: pair), so the memo holds one entry per distinct frame size;
+        #: None for custom or subclassed models, which are never cached.
+        pure = type(latency_model) is UniformLatencyModel or (
             type(latency_model) is NicSwitchLatencyModel
             and type(latency_model.topology) in (StarTopology, FullyConnectedTopology)
         )
-        self._latency_memo: dict[tuple[int, int, int], SimTime] = {}
+        self._latency_memo: Optional[dict[int, SimTime]] = {} if pure else None
 
     def _refresh_plain(self) -> None:
         self._plain = (
@@ -194,6 +196,17 @@ class NetworkController:
         """Attach the cluster driver (done once the driver is constructed)."""
         self.cluster = cluster
 
+    def _latency(self, packet: Packet, dst: int) -> SimTime:
+        """The model's latency for *packet* to *dst*, through the memo."""
+        memo = self._latency_memo
+        if memo is None:
+            return self.latency_model.latency(packet, dst)
+        size = packet.size_bytes
+        latency = memo.get(size)
+        if latency is None:
+            latency = memo[size] = self.latency_model.latency(packet, dst)
+        return latency
+
     # ------------------------------------------------------------------ #
     # Submission path
     # ------------------------------------------------------------------ #
@@ -226,7 +239,7 @@ class NetworkController:
                 stats.packets_routed += 1
                 self.packets_this_quantum += 1
                 end = self.cluster.quantum_window()[1]
-                due = packet.send_time + self.latency_model.latency(packet, dst)
+                due = packet.send_time + self._latency(packet, dst)
                 packet.due_time = due
                 if due >= end:
                     packet.deliver_time = due
@@ -315,8 +328,7 @@ class NetworkController:
             return
         end = self.cluster.quantum_window()[1]
         num_nodes = self.num_nodes
-        latency = self.latency_model.latency
-        memo = self._latency_memo if self._latency_pure else None
+        latency = self._latency
         future = self._future
         seq = self._future_seq
         heappush = heapq.heappush
@@ -330,14 +342,7 @@ class NetworkController:
                         "drain window produced an immediate delivery"
                     )
                 continue
-            if memo is not None:
-                key = (packet.src, dst, packet.size_bytes)
-                lat = memo.get(key)
-                if lat is None:
-                    lat = memo[key] = latency(packet, dst)
-                due = packet.send_time + lat
-            else:
-                due = packet.send_time + latency(packet, dst)
+            due = packet.send_time + latency(packet, dst)
             if due < end:
                 raise RuntimeError(
                     f"drain window frame due at {due} before quantum end {end}"
@@ -424,7 +429,7 @@ class NetworkController:
     ) -> DeliveryDecision:
         assert self.cluster is not None
         start, end = self.cluster.quantum_window()
-        due = packet.send_time + self.latency_model.latency(packet, dst) + extra_latency
+        due = packet.send_time + self._latency(packet, dst) + extra_latency
         packet.due_time = due
         if due >= end:
             # Due beyond the barrier: hold it, delivery will be exact.

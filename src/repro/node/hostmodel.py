@@ -29,7 +29,13 @@ maps in the cluster driver.
 Draws are buffered internally: the scalar per-quantum path and the
 vectorised fast-forward path consume the *same* jitter stream in the same
 order, so a run is deterministic regardless of how the driver batches
-quanta.
+quanta.  The buffer is bounded: a model holds at most :data:`JITTER_BUFFER`
+unconsumed draws, a request longer than that is drawn exactly and never
+stored, and an exhausted buffer is dropped — so the host models of N
+nodes hold at most N x :data:`JITTER_BUFFER` draws however long a
+fast-forwarded span is.  Batching never changes a value, because
+``Generator.normal`` is chunk-invariant: one draw of *n* equals any split
+of *n* into consecutive draws.
 """
 
 from __future__ import annotations
@@ -47,7 +53,10 @@ from repro.engine.units import SimTime
 BUSY = "busy"
 IDLE = "idle"
 
-_BUFFER = 4096
+#: Most unconsumed jitter draws one host model keeps between requests.
+JITTER_BUFFER = 256
+
+_EMPTY = np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -80,7 +89,7 @@ class HostExecutionModel:
         self.node_id = node_id
         self.params = params
         self._rng = rng.spawn("host-jitter", node_id)
-        self._buffer = np.empty(0)
+        self._buffer = _EMPTY
         self._cursor = 0
         if params.hetero_sigma > 0:
             hetero_rng = rng.spawn("host-hetero", node_id)
@@ -98,27 +107,39 @@ class HostExecutionModel:
             return self.params.idle_slowdown
         raise ValueError(f"unknown activity {activity!r}")
 
-    def _take_jitter(self, count: int) -> np.ndarray:
-        """Consume *count* mean-one lognormal draws from the buffered stream."""
+    def _draw(self, size: int) -> np.ndarray:
         sigma = self.params.jitter_sigma
-        if sigma == 0:
+        return np.exp(self._rng.normal(-sigma**2 / 2, sigma, size=size))
+
+    def _take_jitter(self, count: int) -> np.ndarray:
+        """Consume *count* mean-one lognormal draws from the buffered stream.
+
+        Served from the buffer while it lasts.  The shortfall of a request
+        that exhausts it comes from one fresh block of
+        :data:`JITTER_BUFFER` draws, whose rest is kept, or — when the
+        shortfall alone is that long — from one exact draw that is not kept.
+        """
+        if self.params.jitter_sigma == 0:
             return np.ones(count)
-        parts = []
-        needed = count
-        while needed > 0:
-            available = len(self._buffer) - self._cursor
-            if available == 0:
-                size = max(_BUFFER, needed)
-                self._buffer = np.exp(self._rng.normal(-sigma**2 / 2, sigma, size=size))
-                self._cursor = 0
-                available = size
-            grab = min(available, needed)
-            parts.append(self._buffer[self._cursor : self._cursor + grab])
-            self._cursor += grab
-            needed -= grab
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts)
+        buffer = self._buffer
+        cursor = self._cursor
+        end = cursor + count
+        if end < len(buffer):
+            self._cursor = end
+            return buffer[cursor:end]
+        head = buffer[cursor:]
+        need = end - len(buffer)
+        self._buffer = _EMPTY
+        self._cursor = 0
+        if need == 0:
+            return head
+        if need < JITTER_BUFFER:
+            self._buffer = self._draw(JITTER_BUFFER)
+            self._cursor = need
+            tail = self._buffer[:need]
+        else:
+            tail = self._draw(need)
+        return np.concatenate((head, tail)) if len(head) else tail
 
     def take_jitter(self, count: int) -> np.ndarray:
         """Consume *count* per-quantum jitter draws from this node's stream.

@@ -10,7 +10,9 @@ with the observation modes ({plain, checked, traced, faulted}).
 """
 
 import dataclasses
+import pickle
 
+import numpy as np
 import pytest
 
 from repro.checkpoint import (
@@ -24,16 +26,29 @@ from repro.core import (
     ClusterSimulator,
     FixedQuantumPolicy,
 )
+from repro.engine import RngStreams
+from repro.engine.backend import native_available
 from repro.engine.units import MICROSECOND
 from repro.faults.plan import FaultPlan
 from repro.network import NetworkController, PAPER_NETWORK
 from repro.node import ComputeTime, Recv, Send, SimulatedNode
+from repro.node.hostmodel import JITTER_BUFFER, HostModelParams
 from repro.node.transport import RecoveryConfig, TransportConfig
 from repro.obs.collector import TraceConfig
 from repro.shard import run_sharded
 from repro.workloads import IsWorkload
 
 US = MICROSECOND
+
+BACKENDS = [
+    "python",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(
+            not native_available(), reason="compiled engine core not built"
+        ),
+    ),
+]
 
 
 def pingpong_apps(rounds, gap=50 * US, nbytes=64):
@@ -196,6 +211,48 @@ class TestCrossDriverResume:
         index = len(snaps) // 2
         resumed = resume_from(lambda: factory(restore_vec), snaps[index])
         assert_identical(reference, resumed)
+
+
+def with_long_remainder(snapshot, extra):
+    """*snapshot* as a writer whose host models kept *extra* more draws
+    would have written it: each node's jitter remainder grows by the next
+    *extra* draws of its stream, and the stream's saved state moves past
+    them (chunk invariance makes both layouts the same numbers)."""
+    state = pickle.loads(snapshot.payload)
+    sigma = HostModelParams().jitter_sigma
+    for node_id, remainder in enumerate(state["jitter"]):
+        name = f"host-jitter[{node_id}]"
+        stream = RngStreams(0).fresh(name)
+        stream.bit_generator.state = state["rng"][name]
+        more = np.exp(stream.normal(-sigma**2 / 2, sigma, size=extra))
+        state["jitter"][node_id] = np.concatenate((remainder, more))
+        state["rng"][name] = stream.bit_generator.state
+    payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+    return dataclasses.replace(snapshot, payload=payload)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "vectorized"])
+def test_remainder_longer_than_the_buffer_bound_restores(tmp_path, backend, vectorized):
+    """Snapshots written while a host model could keep up to 4 096
+    unconsumed draws (more than ``JITTER_BUFFER``) restore and continue
+    bit-identically on either stepper and backend.  The run consumes
+    past the lengthened remainder, so the moved stream state is read too."""
+    workload = IsWorkload(total_keys=2**12, iterations=2, ops_per_key=20_000)
+
+    def factory(vec, backend):
+        return build_sim(
+            tmp_path, apps=workload.build_apps(8), num_nodes=8, vectorized=vec,
+            window=5 * US, backend=backend,
+        )
+
+    reference, snaps = run_collecting(lambda: factory(True, "python"))
+    snapshot = with_long_remainder(snaps[len(snaps) // 2], extra=300)
+    sim = factory(vectorized, backend)
+    sim.checkpoint_sink = lambda _snap: None
+    restore_snapshot(sim, snapshot)
+    assert min(len(model._buffer) for model in sim.host_models) > JITTER_BUFFER
+    assert_identical(reference, sim.run())
 
 
 class TestShardedInteraction:

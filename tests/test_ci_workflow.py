@@ -45,6 +45,20 @@ def test_every_run_step_is_a_script():
         assert isinstance(script, str) and script.strip(), label
 
 
+def test_perf_smoke_gates_only_through_the_exact_checker():
+    """The parent-vs-head step prints ``bench/compare.py``'s timing report
+    without gating on it; its status is ``tools/perf_gate.py``'s, over the
+    same two reports."""
+    (script,) = [
+        script for label, script in _run_steps()
+        if label.startswith("perf-smoke/") and "bench/compare.py" in script
+    ]
+    lines = [line.strip() for line in script.strip().splitlines()]
+    reports = "bench/out/parent.json bench/out/head.json"
+    assert f"python bench/compare.py {reports} || true" in lines
+    assert lines[-1] == f"python tools/perf_gate.py {reports}"
+
+
 def test_steps_name_only_files_that_exist():
     for label, script in _run_steps():
         for path in _PATH.findall(script):

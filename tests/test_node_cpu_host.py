@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.engine import RngStreams
 from repro.node import CpuModel, HostExecutionModel, HostModelParams
-from repro.node.hostmodel import BUSY, IDLE
+from repro.node.hostmodel import BUSY, IDLE, JITTER_BUFFER
 
 
 class TestCpuModel:
@@ -114,3 +114,47 @@ class TestHostExecutionModel:
     def test_all_slowdowns_positive(self):
         model = self.make(jitter_sigma=0.5)
         assert (model.slowdowns(1000, BUSY) > 0).all()
+
+
+#: One request to a host model's jitter stream: a ``slowdown_pair`` draw
+#: (None) or a ``take_jitter`` count below, at or above the buffer bound.
+_REQUESTS = st.one_of(
+    st.none(),
+    st.integers(0, JITTER_BUFFER - 1),
+    st.just(JITTER_BUFFER),
+    st.integers(JITTER_BUFFER + 1, 3 * JITTER_BUFFER),
+)
+
+
+class TestJitterStream:
+    @given(
+        requests=st.lists(_REQUESTS, max_size=12),
+        sigma=st.sampled_from([0.0, 0.2]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_any_chunking_draws_the_values_of_one_long_draw(self, requests, sigma, seed):
+        params = HostModelParams(jitter_sigma=sigma)
+        model = HostExecutionModel(3, params, RngStreams(seed))
+        total = sum(1 if request is None else request for request in requests)
+        stream = RngStreams(seed).fresh("host-jitter[3]")
+        if sigma == 0:
+            reference = np.ones(total)
+        else:
+            reference = np.exp(stream.normal(-sigma**2 / 2, sigma, size=total))
+        position = 0
+        for request in requests:
+            if request is None:
+                jitter = reference[position] * model.node_factor
+                assert model.slowdown_pair() == (
+                    params.busy_slowdown * jitter,
+                    params.idle_slowdown * jitter,
+                )
+                position += 1
+            else:
+                taken = model.take_jitter(request)
+                assert np.array_equal(taken, reference[position : position + request])
+                position += request
+            assert len(model._buffer) <= JITTER_BUFFER
+        if sigma == 0:
+            # Zero jitter consumes no draws at all.
+            assert model._rng.bit_generator.state == stream.bit_generator.state
