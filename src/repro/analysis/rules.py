@@ -178,11 +178,13 @@ RULE_DOCS: dict[str, str] = {
     ),
     "SIM020": (
         "Invariant: each shared-memory RawArray slot has exactly one\n"
-        "writer side per barrier phase (the shard driver's ownership\n"
-        "table, repro.shard.driver.SHM_OWNERS).  A write from the\n"
-        "non-owning side races the barrier protocol and desynchronizes\n"
-        "shards.  Fix: only the owner side writes; the other side reads\n"
-        "after the barrier."
+        "writer side per barrier phase, declared in the module's\n"
+        "SHM_OWNERS table.  A write from the non-owning side races the\n"
+        "barrier protocol and desynchronizes shards.  Fix: only the\n"
+        "owner side writes; the other side reads after the barrier.\n"
+        "Dormant: repro/shard/driver.py shares no arrays (everything\n"
+        "crosses its pipes), so no code in the repository declares a\n"
+        "table and the rule checks nothing until one does."
     ),
     "SIM021": (
         "Invariant: every pipe-protocol tag sent by one side of the shard\n"

@@ -5,10 +5,13 @@ protocol invariants hold; each gets a static rule:
 
 ======= ===============================================================
 SIM020  Every shared-memory ``RawArray`` has a declared owner side
-        (``repro.shard.driver.SHM_OWNERS``); only that side may write
+        (the module's ``SHM_OWNERS`` table); only that side may write
         its slots after the fork.  The function that *creates* the
         arrays (it calls ``RawArray``) initializes them pre-fork and is
-        exempt.
+        exempt.  Dormant: ``repro.shard.driver`` shares no arrays —
+        frames and per-shard facts cross its pipes — so no module
+        declares a table and the rule checks no code in the repository;
+        only the synthetic drivers of its tests exercise it.
 SIM021  Every pipe-protocol tag sent by one side of the barrier must be
         handled by the other: parent-sent command tags must be compared
         in worker code (or fall to a catch-all ``else``); worker-sent

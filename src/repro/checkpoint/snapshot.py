@@ -82,16 +82,18 @@ class SimSnapshot:
 def _remaining_jitter(sim: "ClusterSimulator") -> list[np.ndarray]:
     """Each node's unconsumed jitter draws, in consumption order.
 
-    The vectorized feed prefetches *out of* the per-model buffers, so
-    the draws still sitting in the feed's matrix precede the draws still
-    sitting in a model's private buffer.  Folding both into one array
-    (feed rows first) makes the snapshot independent of which stepper
-    produced it: restore puts the remainder back as the model's buffer
-    with a fresh (empty) feed, and either driver then consumes the
-    identical sequence.
+    The stepper's jitter feed prefetches *out of* the per-model buffers,
+    so the draws still sitting in the feed's matrix precede the draws
+    still sitting in a model's private buffer.  Folding both into one
+    array (feed rows first) makes the snapshot independent of which
+    stepper produced it: restore puts the remainder back as the model's
+    buffer, the resumed run's stepper starts with a fresh (empty) feed,
+    and either driver then consumes the identical sequence.  Snapshots
+    are taken by serial runs, whose stepper owns every node.
     """
-    feed = sim._feed
-    matrix = feed._matrix[feed._cursor :]
+    # No stepper yet (the run has not started) means nothing prefetched.
+    feed = getattr(sim._stepper, "feed", None)
+    matrix = feed.pending() if feed is not None else np.empty((0, 0))
     remaining = []
     for index, model in enumerate(sim.host_models):
         buffered = model._buffer[model._cursor :]

@@ -36,14 +36,15 @@ The mediator's loop — :meth:`ClusterSimulator.run` — is stated exactly once
 here.  *How the nodes of one window are stepped* is the single thing that
 varies: a :class:`~repro.core.stepping.Stepper` picked at the top of the
 loop (the scalar reference, the vectorized lazy-clock/drain stepper, or
-:mod:`repro.shard`'s remote one), which reports per-node facts and leaves
-every piece of arithmetic and accounting to the loop.
+:mod:`repro.shard`'s sharded one), which reports per-node facts — the
+two per-node maxima of a window's and a fast-forward span's host cost
+among them — and leaves all accounting to the loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -55,7 +56,6 @@ from repro.core.stats import BucketTimeline, HostCostBreakdown
 from repro.core.stepping import (
     Emission,
     NodeClock,
-    Rates,
     ScalarStepper,
     Stepper,
     VectorStepper,
@@ -274,81 +274,6 @@ class PerfCounters:
     subset_windows: int = 0
 
 
-class _JitterFeed:
-    """Row-major prefetch of per-quantum jitter draws across all nodes.
-
-    The vectorized stepper consumes one jitter draw per node per quantum —
-    exactly like the scalar path — but wants them as a ``(N,)`` row per
-    event window.  The feed pulls blocks of ``_BLOCK`` rows from each
-    node's private stream via
-    :meth:`~repro.node.hostmodel.HostExecutionModel.take_jitter`, so draw
-    *i* of node *n* is the same number the scalar path would have drawn for
-    node *n*'s *i*-th quantum: batching changes only the access pattern,
-    never the values.  A fast-forward span takes its draws one node at a
-    time (:meth:`node_draws`), so the feed holds at most ``_BLOCK`` x N
-    draws and a span never builds an ``(N, count)`` matrix.
-    """
-
-    _BLOCK = 256
-
-    __slots__ = ("_models", "_matrix", "_cursor", "_ones_row")
-
-    def __init__(self, models: list[HostExecutionModel]) -> None:
-        self._models = models
-        self._matrix = np.empty((0, len(models)))
-        self._cursor = 0
-        # With zero jitter sigma the scalar path consumes no draws; the
-        # feed must not either.
-        self._ones_row = (
-            np.ones(len(models))
-            if models[0].params.jitter_sigma == 0
-            else None
-        )
-
-    def row(self) -> np.ndarray:
-        """The next per-node draw for one quantum, shape ``(N,)``."""
-        ones = self._ones_row
-        if ones is not None:
-            return ones
-        if self._cursor >= len(self._matrix):
-            self._matrix = self._fetch(self._BLOCK)
-            self._cursor = 0
-        row = self._matrix[self._cursor]
-        self._cursor += 1
-        return row
-
-    def node_draws(self, count: int) -> Iterator[np.ndarray]:
-        """Each node's next *count* draws, node 0 first, one array at a time.
-
-        A node's draws are the feed's prefetched head rows first, then its
-        own stream — the same numbers :meth:`row` would have produced
-        quantum by quantum.  Taking the first array claims the head rows
-        for every node, so a caller takes all N.
-        """
-        models = self._models
-        if self._ones_row is not None:
-            ones = np.ones(count)
-            for _ in models:
-                yield ones
-            return
-        head = self._matrix[self._cursor : self._cursor + count]
-        self._cursor += len(head)
-        rest = count - len(head)
-        for index, model in enumerate(models):
-            if not rest:
-                yield head[:, index]
-            elif not len(head):
-                yield model.take_jitter(rest)
-            else:
-                yield np.concatenate((head[:, index], model.take_jitter(rest)))
-
-    def _fetch(self, rows: int) -> np.ndarray:
-        matrix = np.empty((rows, len(self._models)))
-        for index, model in enumerate(self._models):
-            matrix[:, index] = model.take_jitter(rows)
-        return matrix
-
-
 @dataclass
 class _LoopState:
     """The quantum loop's accumulators — exactly what a snapshot stores
@@ -460,7 +385,7 @@ class ClusterSimulator:
         self._resume: Optional[dict[str, Any]] = None
         #: How :meth:`run` steps the nodes of a window.  None lets it pick
         #: the scalar or vectorized stepper; :mod:`repro.shard` installs
-        #: its remote one before calling :meth:`run`.
+        #: its sharded one before calling :meth:`run`.
         self._stepper: Optional[Stepper] = None
         self._window: tuple[SimTime, SimTime] = (0, 0)
         self._in_window = False
@@ -476,18 +401,9 @@ class ClusterSimulator:
             self.config.vectorized, len(nodes)
         )
         self._sampling = self.config.sampling is not None
-        # Batched-jitter state: per-quantum slowdowns are drawn for all
-        # nodes at once from the feed and combined over these arrays.
-        self._feed = _JitterFeed(self.host_models)
-        self._node_factors = np.array(
-            [model.node_factor for model in self.host_models]
-        )
-        self._busy_bases = np.full(
-            len(nodes), self.config.host_params.busy_slowdown
-        )
-        self._idle_bases = np.full(
-            len(nodes), self.config.host_params.idle_slowdown
-        )
+        #: Every node's activity, kept current when ``_vectorized`` so the
+        #: vectorized stepper costs and fast-forwards event-free nodes
+        #: without an O(N) scan.
         self._busy_mask = np.array([node.activity == BUSY for node in nodes])
 
     def _validate_faults(self, plan: FaultPlan) -> FaultPlan:
@@ -707,8 +623,7 @@ class ClusterSimulator:
                 >= config.fast_forward_min_quanta * policy.window(state.q_state)
             ):
                 self._fast_forward(
-                    state, min(horizon, config.sim_time_limit), barrier_cost,
-                    stepper.batched,
+                    state, min(horizon, config.sim_time_limit), barrier_cost, stepper
                 )
 
             # One event-by-event quantum.
@@ -721,7 +636,7 @@ class ClusterSimulator:
                 sanitizer.on_quantum_start(start, end)
             if collector is not None:
                 collector.quantum_begin(start, end)
-            rates = stepper.open(start, end, host)
+            stepper.open(start, end, host)
             if injector is not None:
                 injector.on_quantum(start, end)
             # Only ask the controller to scan its held-frame heap when the
@@ -743,11 +658,11 @@ class ClusterSimulator:
                 controller.submit_held_batch(sorted(emissions))
             perf.events += handled
             perf.event_quanta += 1
-            perf.stepped_node_quanta += len(stepped)
-            if len(stepped) < num_nodes:
+            perf.stepped_node_quanta += stepped
+            if stepped < num_nodes:
                 # Subset fast-forward: the event-free nodes of this window
                 # are costed arithmetically, never given a clock.
-                perf.skipped_node_quanta += num_nodes - len(stepped)
+                perf.skipped_node_quanta += num_nodes - stepped
                 perf.subset_windows += 1
 
             np_count = controller.end_quantum()
@@ -774,7 +689,9 @@ class ClusterSimulator:
                 state.now = last
                 break
 
-            node_cost = self._window_cost(start, end, host, stepped, stepped_finish, rates)
+            # The slowest node sets the pace (float max is exact, so the
+            # stepped and unstepped maxima combine in any grouping).
+            node_cost = max(stepped_finish, stepper.idle_finish(end)) - host
             state.charge(start, end, node_cost, barrier_cost)
             state.quantum_stats.record(window)
             next_state = policy.next(state.q_state, np_count)
@@ -825,74 +742,15 @@ class ClusterSimulator:
             self.checkpoint_sink = sink
         self.checkpoint_sink(snapshot)
 
-    def _window_rates(self, start: SimTime, end: SimTime) -> Rates:
-        """Draw and combine every node's slowdowns for one quantum at once.
-
-        Computes exactly what N ``slowdown_pair`` calls (plus the stall
-        scaling) and the divisions in ``NodeClock.reset``'s arguments
-        would, but elementwise over arrays: same jitter stream positions,
-        same operation order per element, bit-identical doubles.
-        """
-        tmp = self._feed.row() * self._node_factors
-        if self._sampling:
-            bases = np.empty(len(self.host_models))
-            for index, model in enumerate(self.host_models):
-                bases[index] = model.busy_base_at(start)
-            busy = bases * tmp
-        else:
-            busy = self._busy_bases * tmp
-        idle = self._idle_bases * tmp
-        injector = self.injector
-        if injector is not None and injector.plan.stalls:
-            for node_id in range(len(self.nodes)):
-                stall = injector.stall_factor(node_id, start, end)
-                if stall != 1.0:
-                    busy[node_id] *= stall
-                    idle[node_id] *= stall
-        return 1e9 / busy, 1e9 / idle
-
-    def _window_cost(
-        self,
-        start: SimTime,
-        end: SimTime,
-        host: float,
-        stepped: Sequence[int],
-        stepped_finish: float,
-        rates: Optional[Rates],
-    ) -> float:
-        """Max host finish time over all nodes, minus the window's start.
-
-        Stepped nodes finished wherever their clocks say (*stepped_finish*
-        is their maximum).  Every other node crossed the window on a single
-        segment; its finish is computed arithmetically over the rate arrays
-        with the same per-element operations ``NodeClock.reset`` +
-        ``host_of`` would perform (``host + span / rate`` — never
-        algebraically rearranged, so the floats match bit-for-bit).  Float
-        ``max`` is insensitive to order and grouping.
-        """
-        if len(stepped) == len(self.nodes):
-            return stepped_finish - host
-        assert rates is not None
-        finishes = host + (end - start) / np.where(self._busy_mask, *rates)
-        if stepped:
-            finishes[stepped] = -np.inf
-        return max(float(finishes.max()), stepped_finish) - host
-
     def _fast_forward(
-        self, state: _LoopState, horizon: SimTime, barrier_cost: float, batched: bool
+        self, state: _LoopState, horizon: SimTime, barrier_cost: float, stepper: Stepper
     ) -> None:
         """Skip whole packet-free quanta up to (never into) *horizon*.
 
         No events means no activity transitions, so each node advances each
         skipped quantum at a single rate and the span costs the per-quantum
-        maximum slowdown over nodes.  The maximum is reduced node by node
-        over each node's own draws (:meth:`_JitterFeed.node_draws`), so a
-        chunk of *count* quanta holds O(count) floats, not O(N x count).
-        Only each node's slowdown vector varies: its host model's formula
-        (runs with a sampling schedule or host stalls), or one
-        ``(base * node_factor) * jitter`` product over a per-node
-        coefficient.  The per-element float operations are the same either
-        way.
+        maximum slowdown over nodes, which the stepper reduces over the
+        nodes it owns (:meth:`~repro.core.stepping.Stepper.max_slowdowns`).
         """
         sanitizer = self.sanitizer
         collector = self.collector
@@ -903,33 +761,6 @@ class ClusterSimulator:
             if self.injector is not None and self.injector.plan.stalls
             else None
         )
-        coeff: Optional[np.ndarray] = None
-        if self._sampling or stalls is not None:
-            activities = [node.activity for node in self.nodes]
-        else:
-            # Only batched steppers keep the busy mask current, and it is
-            # the only activity record a shard parent has.
-            busy = (
-                self._busy_mask
-                if batched
-                else [node.activity == BUSY for node in self.nodes]
-            )
-            coeff = np.where(busy, self._busy_bases, self._idle_bases) * self._node_factors
-
-        def slowdowns(node_id: int, jitter: np.ndarray) -> np.ndarray:
-            # Always a fresh array, so the in-place maximum below never
-            # writes into a node's draws.
-            if coeff is not None:
-                return jitter * coeff[node_id]
-            slow = self.host_models[node_id].slowdowns_from(
-                jitter, activities[node_id], starts
-            )
-            if stalls is not None:
-                factors = stalls.stall_factors(node_id, starts, ends)
-                if factors is not None:
-                    slow = slow * factors
-            return slow
-
         while True:
             now = state.now
             lengths, next_state = self.policy.idle_chunk(
@@ -938,18 +769,10 @@ class ClusterSimulator:
             count = len(lengths)
             if count == 0:
                 return
-            if coeff is None:
-                starts = now + np.concatenate(([0], np.cumsum(lengths[:-1])))
-                if stalls is not None:
-                    ends = starts + lengths
-            # Node by node, binding nothing: each node's draws and product
-            # are freed before the next node draws.
-            draws = self._feed.node_draws(count)
-            max_slow = slowdowns(0, next(draws))
-            for node_id in range(1, len(self.nodes)):
-                np.maximum(max_slow, slowdowns(node_id, next(draws)), out=max_slow)
+            max_slow = stepper.max_slowdowns(now, lengths)
             if stalls is not None:
-                stalls.on_quanta(starts, ends)
+                starts = now + np.concatenate(([0], np.cumsum(lengths[:-1])))
+                stalls.on_quanta(starts, starts + lengths)
             node_cost = float((lengths * max_slow).sum()) / 1e9
             span = int(lengths.sum())
             barrier_total = barrier_cost * count

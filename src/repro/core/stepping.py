@@ -11,9 +11,16 @@ its top:
 * :class:`VectorStepper` — clocks are materialized lazily from per-window
   rate arrays (event-free nodes never get one: the subset fast-forward),
   and ground-truth windows (``Q <= T``) drain node by node instead of
-  interleaving.  A shard worker drives the same class over its slice.
-* ``repro.shard.driver``'s remote stepper — the window is stepped by
-  forked workers, one pipe round trip each.
+  interleaving.  Every shard of a sharded run drives the same class over
+  its slice.
+* ``repro.shard.driver``'s shard stepper — the parent steps slice 0 with
+  a :class:`VectorStepper` while forked workers step the other slices.
+
+Both local steppers also own the per-node arithmetic the loop needs
+over their nodes: the jitter draws (a :class:`_JitterFeed` over their
+host models), the host finish of the nodes a window did not step, and a
+fast-forward span's per-quantum maximum slowdown.  Each is a float
+``max`` over nodes, so shards combine their partial results exactly.
 
 Every stepper yields bit-identical results; they differ only in speed.
 """
@@ -22,13 +29,21 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import TYPE_CHECKING, Any, Iterable, Optional, Protocol, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Iterable,
+    Iterator,
+    Optional,
+    Protocol,
+    Sequence,
+)
 
 import numpy as np
 
 from repro.engine.units import SimTime
 from repro.network.packet import Packet
-from repro.node.hostmodel import BUSY
+from repro.node.hostmodel import BUSY, HostExecutionModel
 from repro.node.node import SimulatedNode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -101,25 +116,30 @@ class NodeClock:
 class Stepper(Protocol):
     """What the quantum loop asks of whoever steps the nodes."""
 
-    #: Whether jitter is drawn through the simulator's shared feed (one
-    #: row per quantum) instead of per node from each host model.
-    batched: bool
-
     def next_event_time(self) -> Optional[SimTime]:
         """Earliest pending local event over all nodes."""
 
-    def open(self, start: SimTime, end: SimTime, host: float) -> Optional[Rates]:
-        """Draw the window's slowdowns.  Returns the rate arrays the loop
-        costs unstepped nodes with, or None when every node is stepped."""
+    def open(self, start: SimTime, end: SimTime, host: float) -> None:
+        """Begin the window: draw its slowdowns."""
 
     def deliver(self, frames: Iterable[tuple[Packet, SimTime]]) -> None:
         """Hand released held frames ``(packet, deliver time)`` to their
         destination nodes."""
 
-    def step(self, end: SimTime) -> tuple[int, Sequence[Emission], Sequence[int], float]:
+    def step(self, end: SimTime) -> tuple[int, Sequence[Emission], int, float]:
         """Run every node to the barrier.  Returns ``(events handled,
-        held-frame batch still to submit, ids of the nodes given a clock,
+        held-frame batch still to submit, number of nodes given a clock,
         max host finish time over those nodes)``."""
+
+    def idle_finish(self, end: SimTime) -> float:
+        """Max host finish time over the nodes the window did *not* step
+        (``-inf`` when it stepped every node).  Such a node crossed the
+        window on one segment, so its finish is arithmetic."""
+
+    def max_slowdowns(self, start: SimTime, lengths: np.ndarray) -> np.ndarray:
+        """Per-quantum maximum slowdown over all nodes across a
+        packet-free span of quanta with these *lengths*, from *start*.
+        Consumes each node's jitter draws for the span."""
 
     def touch(self, node_id: int) -> None:
         """Make *node_id*'s clock valid for the open window."""
@@ -162,16 +182,151 @@ def nodes_quiescent(nodes: Iterable[SimulatedNode]) -> bool:
     return True
 
 
+class _JitterFeed:
+    """Row-major prefetch of per-quantum jitter draws across some nodes.
+
+    The vectorized stepper consumes one jitter draw per node per quantum —
+    exactly like the scalar path — but wants them as a ``(n,)`` row per
+    event window.  The feed pulls blocks of ``_BLOCK`` rows from each
+    node's private stream via
+    :meth:`~repro.node.hostmodel.HostExecutionModel.take_jitter`, so draw
+    *i* of a node is the same number the scalar path would have drawn for
+    that node's *i*-th quantum: batching changes only the access pattern,
+    never the values.  A fast-forward span takes its draws one node at a
+    time (:meth:`node_draws`), so the feed holds at most ``_BLOCK`` x n
+    draws and a span never builds an ``(n, count)`` matrix.  Each stepper
+    keeps one over the host models of its own nodes.
+    """
+
+    _BLOCK = 256
+
+    __slots__ = ("_models", "_matrix", "_cursor", "_ones_row")
+
+    def __init__(self, models: list[HostExecutionModel]) -> None:
+        self._models = models
+        self._matrix = np.empty((0, len(models)))
+        self._cursor = 0
+        # With zero jitter sigma the scalar path consumes no draws; the
+        # feed must not either.
+        self._ones_row = (
+            np.ones(len(models))
+            if models[0].params.jitter_sigma == 0
+            else None
+        )
+
+    def row(self) -> np.ndarray:
+        """The next per-node draw for one quantum, shape ``(n,)``."""
+        ones = self._ones_row
+        if ones is not None:
+            return ones
+        if self._cursor >= len(self._matrix):
+            self._matrix = self._fetch(self._BLOCK)
+            self._cursor = 0
+        row = self._matrix[self._cursor]
+        self._cursor += 1
+        return row
+
+    def node_draws(self, count: int) -> Iterator[np.ndarray]:
+        """Each node's next *count* draws, first node first, one array at
+        a time.
+
+        A node's draws are the feed's prefetched head rows first, then its
+        own stream — the same numbers :meth:`row` would have produced
+        quantum by quantum.  Taking the first array claims the head rows
+        for every node, so a caller takes them all.
+        """
+        models = self._models
+        if self._ones_row is not None:
+            ones = np.ones(count)
+            for _ in models:
+                yield ones
+            return
+        head = self._matrix[self._cursor : self._cursor + count]
+        self._cursor += len(head)
+        rest = count - len(head)
+        for index, model in enumerate(models):
+            if not rest:
+                yield head[:, index]
+            elif not len(head):
+                yield model.take_jitter(rest)
+            else:
+                yield np.concatenate((head[:, index], model.take_jitter(rest)))
+
+    def pending(self) -> np.ndarray:
+        """The prefetched rows not yet consumed, shape ``(rows, n)``."""
+        return self._matrix[self._cursor :]
+
+    def _fetch(self, rows: int) -> np.ndarray:
+        matrix = np.empty((rows, len(self._models)))
+        for index, model in enumerate(self._models):
+            matrix[:, index] = model.take_jitter(rows)
+        return matrix
+
+
 class _LocalStepper:
     """Per-node facts of the nodes living in this process — all of them,
-    or the slice a shard worker owns."""
-
-    batched = False
+    or the slice one shard owns."""
 
     def __init__(self, sim: "ClusterSimulator", span: Optional[range] = None) -> None:
         self.sim = sim
         self.span = range(len(sim.nodes)) if span is None else span
         self._nodes = [sim.nodes[node_id] for node_id in self.span]
+        self._models = [sim.host_models[node_id] for node_id in self.span]
+        #: The jitter draws of this stepper's nodes, in stream order.
+        self.feed = _JitterFeed(self._models)
+        params = sim.config.host_params
+        self._node_factors = np.array([model.node_factor for model in self._models])
+        self._busy_bases = np.full(len(self._models), params.busy_slowdown)
+        self._idle_bases = np.full(len(self._models), params.idle_slowdown)
+
+    def _busy(self) -> np.ndarray | list[bool]:
+        """Whether each of this stepper's nodes is busy, in span order."""
+        return [node.activity == BUSY for node in self._nodes]
+
+    def max_slowdowns(self, start: SimTime, lengths: np.ndarray) -> np.ndarray:
+        """The span's per-quantum maximum slowdown over this stepper's
+        nodes, reduced node by node over each node's own draws
+        (:meth:`_JitterFeed.node_draws`), so a span of *count* quanta holds
+        O(count) floats, not O(n x count).
+
+        No events means no activity transitions, so each node crosses
+        every quantum of the span at one rate.  Only each node's slowdown
+        vector varies: its host model's formula (runs with a sampling
+        schedule or host stalls), or one ``(base * node_factor) * jitter``
+        product over a per-node coefficient.  The per-element float
+        operations are the same either way.
+        """
+        sim = self.sim
+        draws = self.feed.node_draws(len(lengths))
+        injector = sim.injector
+        stalls = injector if injector is not None and injector.plan.stalls else None
+        if not sim._sampling and stalls is None:
+            coeff = (
+                np.where(self._busy(), self._busy_bases, self._idle_bases)
+                * self._node_factors
+            )
+            # A fresh product per node, so the in-place maximum never
+            # writes into a node's draws; each is freed before the next
+            # node draws.
+            max_slow = next(draws) * coeff[0]
+            for index in range(1, len(coeff)):
+                np.maximum(max_slow, next(draws) * coeff[index], out=max_slow)
+            return max_slow
+        starts = start + np.concatenate(([0], np.cumsum(lengths[:-1])))
+        ends = starts + lengths
+        result: Optional[np.ndarray] = None
+        for node, model, jitter in zip(self._nodes, self._models, draws):
+            slow = model.slowdowns_from(jitter, node.activity, starts)
+            if stalls is not None:
+                factors = stalls.stall_factors(node.node_id, starts, ends)
+                if factors is not None:
+                    slow = slow * factors
+            if result is None:
+                result = slow
+            else:
+                np.maximum(result, slow, out=result)
+        assert result is not None
+        return result
 
     def touch(self, node_id: int) -> None:
         pass
@@ -239,7 +394,10 @@ class ScalarStepper(_LocalStepper):
         for packet, deliver_time in frames:
             nodes[packet.dst].deliver(packet, deliver_time)
 
-    def step(self, end: SimTime) -> tuple[int, Sequence[Emission], Sequence[int], float]:
+    def idle_finish(self, end: SimTime) -> float:
+        return -math.inf  # every window steps every node
+
+    def step(self, end: SimTime) -> tuple[int, Sequence[Emission], int, float]:
         """Interleave node events in host-time order until the barrier.
 
         A lazy-invalidation heap orders the nodes' next events by host time
@@ -278,7 +436,7 @@ class ScalarStepper(_LocalStepper):
                 if touched != node_id:
                     push(touched, nodes[touched].peek_time())
         dirty.clear()
-        return handled, (), self.span, max(clock.host_of(end) for clock in clocks)
+        return handled, (), len(nodes), max(clock.host_of(end) for clock in clocks)
 
 
 class VectorStepper(_LocalStepper):
@@ -288,14 +446,15 @@ class VectorStepper(_LocalStepper):
     window actually needs it (:meth:`touch`) — value-identical to the
     scalar reset at window start, because an untouched node cannot have
     flipped activity (flips only happen while handling events, which
-    touches first).  Event-free nodes never pay for a clock; the loop
-    costs them arithmetically from the same rate arrays.
+    touches first).  Event-free nodes never pay for a clock;
+    :meth:`idle_finish` costs them arithmetically from the same rate
+    arrays.  The rate arrays, like the feed, cover this stepper's span
+    only; node ids index them from ``span.start``.
     """
-
-    batched = True
 
     def __init__(self, sim: "ClusterSimulator", span: Optional[range] = None) -> None:
         super().__init__(sim, span)
+        self._lo = self.span.start
         #: Cached bound methods: next-event times are re-peeked after
         #: every interleaved window, and the attribute chain is measurable.
         self._peeks = [node.queue.peek_time for node in sim.nodes]
@@ -312,43 +471,75 @@ class VectorStepper(_LocalStepper):
         self._min_latency = sim.controller.latency_model.min_latency()
         self._start: SimTime = 0
         self._host = 0.0
+        self._rates: Rates = (np.empty(0), np.empty(0))
         self._busy_rates: list[float] = []
         self._idle_rates: list[float] = []
         self._epoch = 0
         self._epochs = [0] * len(sim.nodes)
         self._touched: list[int] = []
+        #: How many of ``_touched`` the window's step gave a clock (later
+        #: touches — a barrier audit's settle — are not stepping).
+        self._stepped = 0
+
+    def _busy(self) -> np.ndarray:
+        # The simulator keeps every node's activity current in this mask.
+        return self.sim._busy_mask[self._lo : self.span.stop]
 
     def next_event_time(self) -> Optional[SimTime]:
-        return _earliest(self.times)
+        times = self.times
+        if len(self.span) < len(times):
+            times = times[self._lo : self.span.stop]
+        return _earliest(times)
 
-    def open(self, start: SimTime, end: SimTime, host: float) -> Rates:
-        rates = self.sim._window_rates(start, end)
-        self.load(start, host, *rates)
-        return rates
-
-    def load(
-        self, start: SimTime, host: float, busy_rates: np.ndarray, idle_rates: np.ndarray
-    ) -> None:
-        """Begin a window whose rate arrays are already drawn."""
+    def open(self, start: SimTime, end: SimTime, host: float) -> None:
         self._start = start
         self._host = host
+        self._rates = self._window_rates(start, end)
         # Plain-float copies for scalar access: one bulk conversion beats
-        # N numpy-scalar reads when most nodes are active.
-        self._busy_rates = busy_rates.tolist()
-        self._idle_rates = idle_rates.tolist()
+        # n numpy-scalar reads when most nodes are active.
+        self._busy_rates = self._rates[0].tolist()
+        self._idle_rates = self._rates[1].tolist()
         self._epoch += 1
         self._touched.clear()
+
+    def _window_rates(self, start: SimTime, end: SimTime) -> Rates:
+        """Draw and combine this stepper's slowdowns for one quantum at once.
+
+        Computes exactly what one ``slowdown_pair`` call per node (plus the
+        stall scaling) and the divisions in ``NodeClock.reset``'s arguments
+        would, but elementwise over arrays: same jitter stream positions,
+        same operation order per element, bit-identical doubles.
+        """
+        sim = self.sim
+        tmp = self.feed.row() * self._node_factors
+        if sim._sampling:
+            bases = np.empty(len(self._models))
+            for index, model in enumerate(self._models):
+                bases[index] = model.busy_base_at(start)
+            busy = bases * tmp
+        else:
+            busy = self._busy_bases * tmp
+        idle = self._idle_bases * tmp
+        injector = sim.injector
+        if injector is not None and injector.plan.stalls:
+            for index, node_id in enumerate(self.span):
+                stall = injector.stall_factor(node_id, start, end)
+                if stall != 1.0:
+                    busy[index] *= stall
+                    idle[index] *= stall
+        return 1e9 / busy, 1e9 / idle
 
     def touch(self, node_id: int) -> None:
         if self._epochs[node_id] == self._epoch:
             return
         self._epochs[node_id] = self._epoch
         self._touched.append(node_id)
+        index = node_id - self._lo
         self.sim._clocks[node_id].reset(
             self._start,
             self._host,
-            self._busy_rates[node_id],
-            self._idle_rates[node_id],
+            self._busy_rates[index],
+            self._idle_rates[index],
             self.sim.nodes[node_id].activity,
         )
 
@@ -360,11 +551,19 @@ class VectorStepper(_LocalStepper):
             node.deliver(packet, deliver_time)
             times[packet.dst] = node.peek_time()
 
-    def step(self, end: SimTime) -> tuple[int, Sequence[Emission], Sequence[int], float]:
+    def step(self, end: SimTime) -> tuple[int, Sequence[Emission], int, float]:
         emissions: Sequence[Emission] = ()
         if self._drain_ok and end - self._start <= self._min_latency:
             handled, emissions = self.drain(end)
         else:
+            if len(self.span) < len(self.times):
+                # Interleaving walks every node; a slice stepper would step
+                # nodes that live in other processes.
+                raise RuntimeError(
+                    "a shard's stepper can only drain: the window breaks "
+                    "the Q <= min-latency contract or the run is traced "
+                    "or faulted"
+                )
             handled = self._interleave(end)
             # Touched-but-unstepped nodes (delivery-position queries) have
             # untouched queues, so re-peeking them is merely redundant.
@@ -372,11 +571,6 @@ class VectorStepper(_LocalStepper):
             peeks = self._peeks
             for node_id in self._touched:
                 times[node_id] = peeks[node_id]()
-        return handled, emissions, *self.stepped(end)
-
-    def stepped(self, end: SimTime) -> tuple[list[int], float]:
-        """Ids of the nodes touched this window (a copy: later touches
-        must not leak into it) and their max host finish time."""
         clocks = self.sim._clocks
         best = -math.inf
         for node_id in self._touched:
@@ -384,7 +578,24 @@ class VectorStepper(_LocalStepper):
             finish = clock.seg_host + (end - clock.seg_sim) / clock.seg_rate
             if finish > best:
                 best = finish
-        return list(self._touched), best
+        self._stepped = len(self._touched)
+        return handled, emissions, self._stepped, best
+
+    def idle_finish(self, end: SimTime) -> float:
+        """Every unstepped node crossed the window on a single segment; its
+        finish is computed over the rate arrays with the same per-element
+        operations ``NodeClock.reset`` + ``host_of`` would perform
+        (``host + span / rate`` — never algebraically rearranged, so the
+        floats match bit-for-bit)."""
+        stepped = self._touched[: self._stepped]
+        if len(stepped) == len(self.span):
+            return -math.inf
+        finishes = self._host + (end - self._start) / np.where(self._busy(), *self._rates)
+        if stepped:
+            if self._lo:
+                stepped = [node_id - self._lo for node_id in stepped]
+            finishes[stepped] = -np.inf
+        return float(finishes.max())
 
     def drain(self, end: SimTime) -> tuple[int, list[Emission]]:
         """Step a ground-truth window by draining each active node in turn.
@@ -405,7 +616,8 @@ class VectorStepper(_LocalStepper):
 
         Returns ``(events handled, emissions)`` and leaves the accounting
         to the caller: a shard worker runs this too, and what a worker
-        counts is lost.
+        counts is lost.  A shard drains its own slice; the parent merges
+        the slices' batches before sorting.
         """
         sim = self.sim
         nodes = sim.nodes

@@ -3,8 +3,9 @@
 The paper ran each simulated node as its own SimNow process under a
 central quantum mediator; this subpackage applies the same decomposition
 to the reproduction.  :func:`~repro.shard.driver.run_sharded` partitions
-a cluster's nodes across forked worker processes
-(:func:`~repro.shard.partition.partition_nodes`), keeps the unchanged
+a cluster's nodes into slices
+(:func:`~repro.shard.partition.partition_nodes`), steps the first in the
+parent and each other one in a forked worker, keeps the unchanged
 quantum policy and network controller in the parent (the mediator), and
 exchanges frames only at window boundaries under the conservative
 ``Q <= T`` contract — producing results bit-identical to the serial

@@ -2,9 +2,10 @@
 
 Synthetic minimal drivers exercise each rule both ways (violation fires,
 protocol-respecting code stays clean), the *real* ``repro/shard/driver.py``
-must lint clean, and — the acceptance gate — a deliberately injected
-worker-side write to a parent-owned shared-memory array in the real
-driver is caught.
+must lint clean, and — the acceptance gate — a deliberately unpaired pipe
+tag in the real driver is caught.  The real driver shares no memory
+arrays (frames and per-shard facts cross its pipes), so SIM020 is held
+to its contract by the synthetic drivers alone.
 """
 
 from __future__ import annotations
@@ -363,42 +364,41 @@ def test_real_driver_is_clean() -> None:
     assert findings == []
 
 
-def test_injected_worker_shm_write_is_caught() -> None:
-    source = real_driver_source()
-    # The worker's shared-array publish loop (NOT the look-alike line in
-    # the parent's pre-fork init, which is ownership-exempt).
-    anchor = "busy_mask[node_id] = nodes[node_id].activity == BUSY"
-    assert source.count(anchor) == 1, "worker publish anchor moved; update this test"
-    injected = source.replace(
-        anchor, anchor + "\n                    busy_rates[node_id] = 0.5", 1
-    )
-    findings = check_shard_source(injected, "src/repro/shard/driver.py")
-    assert rules_of(findings) == ["SIM020"]
-    assert "busy_rates" in findings[0].message
-    assert "_shard_worker" in findings[0].message
-
-
 def test_injected_unpaired_tag_is_caught() -> None:
     source = real_driver_source()
     injected = source.replace(
         '_ERROR = "error"', '_ERROR = "error"\n_NUDGE = "nudge"', 1
     ).replace(
-        "conn.send((_REPORT,))",
-        "conn.send((_NUDGE,))\n            conn.send((_REPORT,))",
+        "pipe.send((_REPORT,))",
+        "pipe.send((_NUDGE,))\n            pipe.send((_REPORT,))",
         1,
     )
-    assert "_NUDGE" in injected
-    findings = check_shard_source(injected, "src/repro/shard/driver.py")
+    assert "pipe.send((_NUDGE,))" in injected, "parent send anchor moved"
     # The worker's dispatch has a catch-all else, so a *command* tag is
     # always handled; send it from the worker instead to break pairing.
+    assert check_shard_source(injected, "src/repro/shard/driver.py") == []
     injected_worker = source.replace(
         '_ERROR = "error"', '_ERROR = "error"\n_NUDGE = "nudge"', 1
     ).replace(
-        "conn.send((_FINAL, shard_last, finish_host))",
-        "conn.send((_NUDGE,))\n                conn.send("
+        "pipe.send((_FINAL, shard_last, finish_host))",
+        "pipe.send((_NUDGE,))\n                pipe.send("
         "(_FINAL, shard_last, finish_host))",
         1,
     )
+    assert "pipe.send((_NUDGE,))" in injected_worker, "worker send anchor moved"
     findings = check_shard_source(injected_worker, "src/repro/shard/driver.py")
     assert rules_of(findings) == ["SIM021"]
     assert "_NUDGE" in findings[0].message
+
+
+def test_span_reply_pairs_only_with_its_command() -> None:
+    """The fast-forward reply echoes the parent's ``_SPAN`` command; a
+    parent that stopped sending it would leave the worker's reply
+    unpaired."""
+    source = real_driver_source()
+    anchor = "pipe.send((_SPAN, start, lengths.tobytes()))"
+    assert source.count(anchor) == 1, "span command anchor moved; update this test"
+    injected = source.replace(anchor, "pipe.send((_WINDOW, start, lengths.tobytes()))")
+    findings = check_shard_source(injected, "src/repro/shard/driver.py")
+    assert rules_of(findings) == ["SIM021"]
+    assert "_SPAN" in findings[0].message

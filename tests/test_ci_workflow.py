@@ -59,6 +59,19 @@ def test_perf_smoke_gates_only_through_the_exact_checker():
     assert lines[-1] == f"python tools/perf_gate.py {reports}"
 
 
+def test_sharded_smoke_runs_the_shard_suite_on_one_cpu():
+    """The barrier spins only with a CPU per shard process; one job step
+    holds the shard suite to the blocking path by pinning it to one CPU."""
+    pinned = [
+        script.split()
+        for label, script in _run_steps()
+        if label.startswith("sharded-smoke/") and "taskset" in script
+    ]
+    assert pinned == [
+        "taskset -c 0 env PYTHONPATH=src python -m pytest -x -q tests/test_shard.py".split()
+    ]
+
+
 def test_steps_name_only_files_that_exist():
     for label, script in _run_steps():
         for path in _PATH.findall(script):

@@ -40,9 +40,22 @@ def build(apps, *, quantum=1 * US, **options):
     return ClusterSimulator(nodes, controller, FixedQuantumPolicy(quantum), config)
 
 
-def assert_jitter_bounded(sim):
+def run_keeping_feed(sim):
+    """Run *sim*; also return its stepper's jitter feed, which run() drops."""
+    feeds = []
+    release = sim._release
+
+    def releasing():
+        feeds.append(sim._stepper.feed)
+        release()
+
+    sim._release = releasing
+    return sim.run(), feeds[0]
+
+
+def assert_jitter_bounded(sim, feed):
     assert max(len(model._buffer) for model in sim.host_models) <= JITTER_BUFFER
-    assert len(sim._feed._matrix) <= sim._feed._BLOCK
+    assert len(feed._matrix) <= feed._BLOCK
 
 
 def idle_apps(num_nodes, span):
@@ -74,7 +87,7 @@ def test_fast_forward_allocates_independently_of_node_count(vectorized):
     sim._fast_forward = measuring
     tracemalloc.start()
     try:
-        result = sim.run()
+        result, feed = run_keeping_feed(sim)
     finally:
         tracemalloc.stop()
     assert result.completed
@@ -82,7 +95,7 @@ def test_fast_forward_allocates_independently_of_node_count(vectorized):
     assert quanta >= 20_000
     assert peak < 1 * MIB
     assert kept < 64 * JITTER_BUFFER * 8 + 64 * 1024
-    assert_jitter_bounded(sim)
+    assert_jitter_bounded(sim, feed)
 
 
 IS_MODES = {
@@ -118,12 +131,13 @@ def test_latency_memo_holds_one_entry_per_frame_size(mode):
 
     controller.submit = recording_submit
     controller.submit_held_batch = recording_batch
-    assert sim.run().completed
+    result, feed = run_keeping_feed(sim)
+    assert result.completed
     # The alltoall really did touch every ordered pair.
     assert len(pairs) == num_nodes * (num_nodes - 1)
     memo = controller._latency_memo
     assert memo and set(memo) <= sizes
-    assert_jitter_bounded(sim)
+    assert_jitter_bounded(sim, feed)
 
 
 BOUNDED_RUNS = {
@@ -143,6 +157,7 @@ def test_no_host_model_keeps_more_draws_than_the_bound(run, vectorized):
     nodes = [SimulatedNode(i, app) for i, app in enumerate(workload.build_apps(8))]
     config = ClusterConfig(seed=5, backend="python", vectorized=vectorized, **options)
     sim = ClusterSimulator(nodes, NetworkController(8, PAPER_NETWORK(8)), policy, config)
-    assert sim.run().completed
+    result, feed = run_keeping_feed(sim)
+    assert result.completed
     assert sim.perf.ff_spans
-    assert_jitter_bounded(sim)
+    assert_jitter_bounded(sim, feed)

@@ -10,14 +10,22 @@ equal field-for-field to a serial run of the identical configuration —
 whether the run actually sharded or degraded to the serial fallback
 (whose reason is asserted too).
 
-Also covered: the partitioner's exactly-once/deterministic guarantees and
-``REPRO_SHARDS`` resolution.  That the shard count never enters a harness
-cache key is ``tests/test_harness_settings.py``'s per-field test.
+Also covered: the process layout (the parent steps slice 0 itself and
+audits it under the sanitizer), the pipe encoding of frames, the spin
+gate of the barrier, the partitioner's exactly-once/deterministic
+guarantees and ``REPRO_SHARDS`` resolution.  That the shard count never
+enters a harness cache key is ``tests/test_harness_settings.py``'s
+per-field test.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     ClusterConfig,
@@ -31,6 +39,7 @@ from repro.faults.plan import load_plan
 from repro.harness.configs import ground_truth_policy
 from repro.harness.experiment import ExperimentRunner
 from repro.network import NetworkController, PAPER_NETWORK
+from repro.network.packet import BROADCAST, Packet, packet_id_position
 from repro.node import ComputeTime, Recv, SimulatedNode
 from repro.node.hostmodel import HostModelParams
 from repro.node.transport import RecoveryConfig, TransportConfig
@@ -46,6 +55,11 @@ WORKLOADS = {
     "IS": lambda size: IsWorkload().build_apps(size),
     "NAMD": lambda size: NamdWorkload().build_apps(size),
 }
+
+
+def small_is(size):
+    """An IS run of about a thousand quanta, for per-window checks."""
+    return IsWorkload(total_keys=2**15, iterations=2).build_apps(size)
 
 
 def _factory(
@@ -86,13 +100,16 @@ def _assert_identical(
     policy_factory,
     shards,
     *,
+    serial=None,
     expect_sharded=True,
     expect_reason=None,
     expect_completed=True,
     **kwargs,
 ):
+    """Sharded equals serial; pass *serial* to reuse a reference run."""
     build = _factory(apps_factory, size, policy_factory, **kwargs)
-    serial = build().run()
+    if serial is None:
+        serial = build().run()
     outcome = run_sharded(build, shards=shards)
     if expect_sharded:
         assert outcome.fallback_reason is None
@@ -160,17 +177,63 @@ def test_resolve_shards(monkeypatch):
 
 def test_sharded_matrix_is_bit_identical():
     """3 workloads x 3 sizes x 3 shard counts = 27 truly-sharded configs
-    (at size 2 the count clamps to 2 workers), all at the ground-truth
-    quantum where every window is a drain window."""
+    (at size 2 the count clamps to 2 shards), all at the ground-truth
+    quantum where every window is a drain window.  Each (workload, size)
+    runs its serial reference once."""
     configs = 0
     for apps_factory in WORKLOADS.values():
         for size in (2, 4, 8):
+            policy = lambda: FixedQuantumPolicy(US)  # noqa: E731
+            serial = _factory(apps_factory, size, policy)().run()
             for shards in (2, 3, 4):
-                _assert_identical(
-                    apps_factory, size, lambda: FixedQuantumPolicy(US), shards
-                )
+                _assert_identical(apps_factory, size, policy, shards, serial=serial)
                 configs += 1
     assert configs == 27
+
+
+@pytest.fixture
+def layouts(monkeypatch):
+    """Records each sharded run's ``(slice the parent steps, workers)``."""
+    seen = []
+
+    class Recording(shard_driver._ShardStepper):
+        def __init__(self, sim, slices, procs, pipes, checking):
+            super().__init__(sim, slices, procs, pipes, checking)
+            seen.append((self._local.span, len(procs)))
+
+    monkeypatch.setattr(shard_driver, "_ShardStepper", Recording)
+    return seen
+
+
+def test_parent_steps_slice_zero_of_uneven_partitions(layouts):
+    """The parent is shard 0: it steps the first (largest) slice itself
+    and forks one worker per other slice, so k shards are k processes.
+    A run that bound the parent to one CPU gives its affinity back."""
+    policy = lambda: FixedQuantumPolicy(US)  # noqa: E731
+    affinity = os.sched_getaffinity(0)
+    for size in (5, 9):
+        serial = _factory(small_is, size, policy)().run()
+        for shards in (2, 3, 4):
+            layouts.clear()
+            _assert_identical(small_is, size, policy, shards, serial=serial)
+            slices = partition_nodes(size, shards)
+            assert layouts == [(slices[0], shards - 1)]
+            assert os.sched_getaffinity(0) == affinity
+
+
+def test_per_shard_feeds_are_bit_identical(layouts):
+    """Each shard draws its own nodes' jitter from a feed over its slice:
+    without jitter (no draws on any side), and with the accelerator off
+    (every quantum a window: one draw per node per quantum, in every
+    shard), over uneven slices."""
+    for apps_factory, config in (
+        (WORKLOADS["NAMD"], {"host_params": HostModelParams(jitter_sigma=0)}),
+        (small_is, {"fast_forward": False}),
+    ):
+        _assert_identical(
+            apps_factory, 5, lambda: FixedQuantumPolicy(US), 3, **config
+        )
+    assert [span for span, _ in layouts] == [range(0, 2)] * 2
 
 
 def test_checked_sharded_runs_are_bit_identical():
@@ -183,6 +246,28 @@ def test_checked_sharded_runs_are_bit_identical():
                 apps_factory, 4, lambda: FixedQuantumPolicy(US), shards,
                 check=True,
             )
+
+
+def test_checked_parent_audits_its_own_slice(monkeypatch):
+    """Under the sanitizer the parent audits slice 0 at every window
+    barrier, with the same per-shard audit the workers run."""
+    parent = os.getpid()
+    audited = []
+    audit = shard_driver._audit_slice
+
+    def recording(sim, stepper, start, end):
+        if os.getpid() == parent:
+            audited.append(stepper.span)
+        audit(sim, stepper, start, end)
+
+    monkeypatch.setattr(shard_driver, "_audit_slice", recording)
+    build = _factory(small_is, 5, lambda: FixedQuantumPolicy(US), check=True)
+    serial = build().run()
+    outcome = run_sharded(build, shards=3)
+    assert outcome.shards == 3 and outcome.fallback_reason is None
+    assert outcome.result == serial
+    assert set(audited) == {range(0, 2)}
+    assert len(audited) == outcome.simulator.perf.event_quanta
 
 
 def test_recovery_transport_sharded_runs_are_bit_identical():
@@ -211,8 +296,7 @@ def test_sharded_loop_options_are_bit_identical():
             )
     # Every quantum a barrier round trip: a small input keeps it to ~900.
     _assert_identical(
-        lambda size: IsWorkload(total_keys=2**15, iterations=2).build_apps(size),
-        4, lambda: FixedQuantumPolicy(US), 2, fast_forward=False,
+        small_is, 4, lambda: FixedQuantumPolicy(US), 2, fast_forward=False,
     )
     finished = _factory(WORKLOADS["IS"], 4, lambda: FixedQuantumPolicy(US))().run()
     _assert_identical(
@@ -240,6 +324,142 @@ def test_sharded_deadlock_reports_like_serial():
         run_sharded(build, shards=2)
     assert "node0, node2" in str(serial.value)
     assert str(sharded.value) == str(serial.value)
+
+
+# ---------------------------------------------------------------------- #
+# The barrier: pipe encoding and the spin gate
+# ---------------------------------------------------------------------- #
+
+payloads = st.recursive(
+    st.none() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=8,
+)
+stamps = st.none() | st.integers(0, 2**62)
+
+
+@st.composite
+def packets(draw):
+    src = draw(st.integers(0, 1023))
+    dst = draw(st.integers(BROADCAST, 1023).filter(lambda dst: dst != src))
+    return Packet(
+        src=src,
+        dst=dst,
+        size_bytes=draw(st.integers(1, 9066)),
+        send_time=draw(st.integers(0, 2**62)),
+        message_id=draw(st.integers(0, 2**40)),
+        fragment=draw(st.integers(0, 1000)),
+        last_fragment=draw(st.booleans()),
+        payload=draw(payloads),
+        due_time=draw(stamps),
+        deliver_time=draw(stamps),
+        straggler=draw(st.booleans()),
+        kind=draw(st.sampled_from(["data", "ack"])),
+        retransmit=draw(st.integers(0, 8)),
+        packet_id=draw(st.integers(0, 2**40)),
+    )
+
+
+@settings(deadline=None)
+@given(packet=packets())
+def test_frame_encoding_round_trips_every_field(packet):
+    """A frame crosses a pipe as its field tuple: every slot survives the
+    pickle round trip, and decoding draws no fresh packet id."""
+    values = shard_driver._packet_fields(packet)
+    assert len(values) == len(Packet.__slots__)
+    before = packet_id_position()
+    decoded = Packet(*pickle.loads(pickle.dumps(values)))
+    assert packet_id_position() == before
+    for field in dataclasses.fields(Packet):
+        assert getattr(decoded, field.name) == getattr(packet, field.name), field.name
+    assert decoded == packet
+
+
+def test_barrier_spins_only_with_a_cpu_per_process(monkeypatch):
+    def affinity(cpus):
+        monkeypatch.setattr(shard_driver.os, "sched_getaffinity", lambda pid: cpus)
+
+    affinity({3, 1})
+    assert shard_driver._shard_cpus(2) == [1, 3]
+    assert shard_driver._shard_cpus(3) is None  # fewer CPUs than processes
+    affinity({0})
+    assert shard_driver._shard_cpus(2) is None
+
+    def unreadable(pid):
+        raise OSError("no affinity here")
+
+    monkeypatch.setattr(shard_driver.os, "sched_getaffinity", unreadable)
+    assert shard_driver._shard_cpus(2) is None
+
+    # A multiprocessing child (a farm worker) never owns CPUs, however
+    # many it sees.
+    affinity({0, 1, 2, 3})
+    monkeypatch.setattr(
+        shard_driver.multiprocessing, "parent_process", lambda: object()
+    )
+    assert shard_driver._shard_cpus(2) is None
+
+
+def test_farm_workers_never_spin(monkeypatch, tmp_path):
+    """Concurrent sharded runs in a 2-worker farm neither spin nor bind:
+    every one of them would otherwise take the same first CPUs."""
+    from repro.harness.configs import PolicySpec
+    from repro.harness.parallel import ParallelRunner
+
+    monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+    log = tmp_path / "spins"
+
+    class Recording(shard_driver._Pipe):
+        # Pool and shard processes are forked, so they inherit this class
+        # and append to the shared log.
+        def __init__(self, conn, spin_polls):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()} {spin_polls}\n")
+            super().__init__(conn, spin_polls)
+
+    monkeypatch.setattr(shard_driver, "_Pipe", Recording)
+    spec = PolicySpec("1", lambda: FixedQuantumPolicy(US))
+    requests = [(IsWorkload(), size, spec) for size in (4, 8)]
+    farm = ParallelRunner(seed=7, shards=2, max_workers=2, use_cache=False)
+    records = farm.run_many(requests)
+    assert [source for *_, source in farm.last_batch_report] == ["worker"] * 2
+    serial = ExperimentRunner(seed=7)
+    for (workload, size, _), record in zip(requests, records):
+        assert serial.run_spec(workload, size, spec).result == record.result
+    pipes = log.read_text().split("\n")[:-1]
+    # One pipe end in each run's parent and one in its worker.
+    assert len(pipes) == 4
+    assert all(line.split()[1] == "0" for line in pipes)
+
+
+def test_slice_steppers_refuse_to_interleave():
+    """A window a shard cannot drain would walk nodes living in other
+    processes; the slice stepper refuses it instead."""
+    from repro.core.stepping import VectorStepper
+
+    sim = _factory(WORKLOADS["IS"], 4, lambda: FixedQuantumPolicy(10 * US))()
+    stepper = VectorStepper(sim, range(0, 2))
+    stepper.open(0, 10 * US, 0.0)
+    with pytest.raises(RuntimeError, match="can only drain"):
+        stepper.step(10 * US)
+
+
+def test_one_cpu_blocks_instead_of_spinning(monkeypatch):
+    """Pinned to one CPU, a 2-shard run never spins (a spinning waiter
+    would hold the only CPU the awaited process needs) and still matches
+    serial."""
+    cpu = min(os.sched_getaffinity(0))
+    monkeypatch.setattr(shard_driver.os, "sched_getaffinity", lambda pid: {cpu})
+    spins = []
+
+    class Recording(shard_driver._Pipe):
+        def __init__(self, conn, spin_polls):
+            spins.append(spin_polls)
+            super().__init__(conn, spin_polls)
+
+    monkeypatch.setattr(shard_driver, "_Pipe", Recording)
+    _assert_identical(WORKLOADS["IS"], 4, lambda: FixedQuantumPolicy(US), 2)
+    assert spins == [0]
 
 
 # ---------------------------------------------------------------------- #
