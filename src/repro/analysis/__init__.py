@@ -10,19 +10,18 @@ meaningful if causality is never violated by accident.  Synchronization
 bugs in a PDES core surface as *silent* timing skew, not crashes — the
 class of defect ordinary tests miss.  This package attacks it twice:
 
-* :mod:`repro.analysis.simlint` — a whole-program static analyzer
-  (stdlib ``ast``, no dependencies).  v1's per-file rules SIM001–SIM006
-  (wall-clock access in the sim core, unseeded randomness outside the
-  engine RNG, iteration-order hazards, float/``SimTime`` mixing, mutable
-  default arguments, broad exception handlers) are joined in v2 by an
-  inter-procedural determinism dataflow (SIM010–SIM014: taint sources
-  traced through call chains into event scheduling, ``RunResult``,
-  trace-event payloads, and the disk-cache key) and a shard-safety pass
-  (SIM020–SIM023: shared-memory ownership, pipe-tag pairing, fork-unsafe
-  sync primitives, parent-only accounting).  A content-hash project
-  index under ``.repro_cache/simlint/`` makes warm whole-tree runs
-  near-instant, and findings export as SARIF 2.1.0 for GitHub code
-  scanning.  Run it as ``python -m repro.analysis.simlint src tests``.
+* :mod:`repro.analysis.simlint` — a per-file static lint (stdlib
+  ``ast``, no dependencies) for bugs on paths no test executes: rules
+  SIM001–SIM006 (wall-clock access in the sim core, unseeded randomness
+  outside the engine RNG, iteration-order hazards, float/``SimTime``
+  mixing, mutable default arguments, broad exception handlers), SIM022
+  (fork-unsafe sync primitives in the sim core) and the shard-protocol
+  rules SIM021/SIM023 (pipe-tag pairing, parent-only accounting).  Run
+  it as ``python -m repro.analysis.simlint src tests``.  Whether ambient
+  state reaches a result *across* calls is not argued statically:
+  ``tests/test_determinism_perturbation.py`` re-runs a fixed run set
+  under perturbed hash seeds, environments, clocks, CPU counts, working
+  directories and pool sizes and requires identical results.
 
 * :mod:`repro.analysis.invariants` — a runtime causality sanitizer that
   hooks the cluster driver and the network controller when

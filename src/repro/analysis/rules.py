@@ -30,6 +30,9 @@ SIM006  Bare or broad ``except`` in the sim core that swallows the
         error: a typo'd attribute inside a handler-covered region turns
         into silent timing skew.  Handlers that re-raise (wrap-and-
         raise) are allowed.
+SIM022  Thread/lock/queue/pool construction in the sim core: shard
+        workers fork with the built simulator, and such state does not
+        survive ``fork``.
 ======= ================================================================
 
 Rules are *zone-scoped*: a file's zone is derived from its path
@@ -38,12 +41,12 @@ obs,shard}``, ``harness``, ``analysis``, ``tests``, ``benchmarks``,
 ``examples``, ``other``), so the same invocation can lint the whole tree
 while holding only the sim core to the strictest contract.
 
-The per-file rules above are v1.  simlint v2 adds whole-program passes —
-the inter-procedural determinism dataflow (SIM010-SIM014, see
-:mod:`repro.analysis.dataflow`) and the shard-safety pass (SIM020-SIM023,
-see :mod:`repro.analysis.shardrules`) — orchestrated by the project index
-(:mod:`repro.analysis.index`).  ``RULES`` and ``RULE_DOCS`` below cover
-all of them.
+Each rule sees one file.  The shard protocol rules SIM021 and SIM023 see
+one ``repro/shard/`` module at a time (:mod:`repro.analysis.shardrules`).
+Whether ambient state (env, clock, hash seed, cpu count) reaches a
+result across calls is not argued statically: the perturbation check in
+``tests/test_determinism_perturbation.py`` runs it.  ``RULES`` and
+``RULE_DOCS`` below cover every rule.
 """
 
 from __future__ import annotations
@@ -79,12 +82,6 @@ RULES: dict[str, str] = {
     "SIM004": "float literal mixed into SimTime arithmetic outside engine/units.py",
     "SIM005": "mutable default argument (shared across calls and across runs)",
     "SIM006": "bare/broad except swallowing errors in the sim core",
-    "SIM010": "nondeterministic value reaches event scheduling (whole-program taint)",
-    "SIM011": "nondeterministic value reaches a RunResult field (whole-program taint)",
-    "SIM012": "nondeterministic value reaches a trace-event payload (whole-program taint)",
-    "SIM013": "nondeterministic value reaches the disk-cache key (cache-key purity)",
-    "SIM014": "sim-core function transitively reaches wall-clock/ambient host state",
-    "SIM020": "shared-memory array written by the non-owning side of the barrier protocol",
     "SIM021": "unpaired pipe-protocol tag between shard parent and worker",
     "SIM022": "thread/lock/pool state created in fork-inherited simulation objects",
     "SIM023": "parent-only accounting state mutated in worker-executed code",
@@ -138,54 +135,6 @@ RULE_DOCS: dict[str, str] = {
         "that does not re-raise turns a typo'd attribute into silent timing\n"
         "skew.  Fix: catch the specific exception, or wrap-and-raise."
     ),
-    "SIM010": (
-        "Invariant: the event schedule is a pure function of the\n"
-        "configuration.  The whole-program dataflow pass traced a taint\n"
-        "source (wall clock, unseeded RNG, os.environ, hash()/id(), set\n"
-        "iteration order) through the call graph into an event-scheduling\n"
-        "call (schedule/push/submit/deliver/...).  The finding's chain\n"
-        "shows every hop from source to sink.  Fix: derive the scheduled\n"
-        "time/payload from config or simulated state instead."
-    ),
-    "SIM011": (
-        "Invariant: RunResult is bit-identical across replays.  A taint\n"
-        "source flows into a RunResult field, so the run's observable\n"
-        "output would differ between identical configurations.  Fix: keep\n"
-        "host-dependent measurements out of RunResult's simulated fields."
-    ),
-    "SIM012": (
-        "Invariant: traced runs are bit-identical to untraced runs and to\n"
-        "each other.  A taint source flows into a trace-event payload\n"
-        "(repro.obs.events.*), so traces would not diff cleanly against\n"
-        "ground truth.  Fix: stamp events with simulated quantities only."
-    ),
-    "SIM013": (
-        "Invariant: cache-key purity.  Everything entering the disk-cache\n"
-        "key (RunnerSettings.key_fragment / RunSpec.key_payload /\n"
-        "DiskResultCache.key_of) must derive from hashable configuration\n"
-        "fields.  A wall-clock or ambient value laundered into the key\n"
-        "silently forks the cache: identical configs stop sharing entries,\n"
-        "and stale results can be served as fresh.  Fix: remove the\n"
-        "ambient value from the key payload."
-    ),
-    "SIM014": (
-        "Invariant: the sim core cannot even *reach* ambient host state.\n"
-        "This function reads — or transitively calls something that\n"
-        "reads — os.environ / cpu_count / pids / hostnames / the wall\n"
-        "clock.  Unlike SIM001 this is whole-program: the read may be\n"
-        "buried N calls deep.  Fix: resolve ambient inputs in the harness\n"
-        "and pass them in as explicit configuration."
-    ),
-    "SIM020": (
-        "Invariant: each shared-memory RawArray slot has exactly one\n"
-        "writer side per barrier phase, declared in the module's\n"
-        "SHM_OWNERS table.  A write from the non-owning side races the\n"
-        "barrier protocol and desynchronizes shards.  Fix: only the\n"
-        "owner side writes; the other side reads after the barrier.\n"
-        "Dormant: repro/shard/driver.py shares no arrays (everything\n"
-        "crosses its pipes), so no code in the repository declares a\n"
-        "table and the rule checks nothing until one does."
-    ),
     "SIM021": (
         "Invariant: every pipe-protocol tag sent by one side of the shard\n"
         "barrier is handled by the other.  An unpaired tag deadlocks the\n"
@@ -226,6 +175,24 @@ _WALL_CLOCK_CALLS = frozenset(
         "datetime.datetime.utcnow",
         "datetime.datetime.today",
         "datetime.date.today",
+    }
+)
+
+#: Synchronization primitives that must not live in fork-inherited
+#: simulation objects (SIM022).  ``Process``/``Pipe`` are the shard
+#: mechanism itself and are not listed.
+_SYNC_CTORS = frozenset(
+    {
+        "threading.Thread", "threading.Lock", "threading.RLock",
+        "threading.Condition", "threading.Semaphore",
+        "threading.BoundedSemaphore", "threading.Event", "threading.Barrier",
+        "threading.Timer", "threading.local",
+        "queue.Queue", "queue.LifoQueue", "queue.PriorityQueue",
+        "queue.SimpleQueue",
+        "multiprocessing.Pool", "multiprocessing.Queue", "multiprocessing.Lock",
+        "multiprocessing.RLock", "multiprocessing.Manager",
+        "concurrent.futures.ThreadPoolExecutor",
+        "concurrent.futures.ProcessPoolExecutor",
     }
 )
 
@@ -279,11 +246,7 @@ _SIMTIME_NAMES = frozenset(
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation at one source location.
-
-    Whole-program (dataflow/shard) findings additionally carry *chain*:
-    the source -> sink call chain as ``(path, line, note)`` steps.
-    """
+    """One rule violation at one source location."""
 
     rule: str
     path: str
@@ -291,7 +254,6 @@ class Finding:
     col: int
     message: str
     snippet: str
-    chain: tuple = ()
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}: {self.rule} {self.message}"
@@ -460,7 +422,7 @@ class _Visitor(ast.NodeVisitor):
                     self._set_bindings[-1].discard(target.id)
         self.generic_visit(node)
 
-    # -- SIM001 / SIM002: calls ----------------------------------------- #
+    # -- SIM001 / SIM002 / SIM022: calls -------------------------------- #
 
     def visit_Call(self, node: ast.Call) -> None:
         resolved = self._resolve(node.func)
@@ -471,6 +433,16 @@ class _Visitor(ast.NodeVisitor):
                     node,
                     f"wall-clock call {resolved}() in the sim core; host time is a "
                     "model output, not an input",
+                )
+            if self._core and resolved in _SYNC_CTORS:
+                self._report(
+                    "SIM022",
+                    node,
+                    f"{resolved}() constructed in the sim core: shard workers "
+                    "fork with the built simulator, and thread/lock/queue/pool "
+                    "state does not survive fork (an inherited locked lock "
+                    "deadlocks the child); create it post-fork in the owning "
+                    "process",
                 )
             if not self._rng_exempt:
                 self._check_randomness(node, resolved)

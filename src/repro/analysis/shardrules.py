@@ -1,42 +1,32 @@
-"""Shard-safety pass: rules SIM020-SIM023 over ``repro/shard/``.
+"""Shard-protocol rules SIM021 and SIM023 over ``repro/shard/`` modules.
 
-The sharded driver (PR 6) is bit-identical to serial only while four
-protocol invariants hold; each gets a static rule:
+The sharded driver is bit-identical to serial only while its pipe
+protocol holds; two of its invariants get a static rule each:
 
 ======= ===============================================================
-SIM020  Every shared-memory ``RawArray`` has a declared owner side
-        (the module's ``SHM_OWNERS`` table); only that side may write
-        its slots after the fork.  The function that *creates* the
-        arrays (it calls ``RawArray``) initializes them pre-fork and is
-        exempt.  Dormant: ``repro.shard.driver`` shares no arrays —
-        frames and per-shard facts cross its pipes — so no module
-        declares a table and the rule checks no code in the repository;
-        only the synthetic drivers of its tests exercise it.
 SIM021  Every pipe-protocol tag sent by one side of the barrier must be
         handled by the other: parent-sent command tags must be compared
         in worker code (or fall to a catch-all ``else``); worker-sent
         reply tags must echo a parent command or be compared parent-side.
-SIM022  Fork-inherited simulation objects must not construct
-        thread/lock/queue/pool primitives — threads do not survive
-        ``fork`` and an inherited locked lock deadlocks the child.
-        (Detected from the project index's sync-construction sites, so
-        it covers the whole sim core, not just ``repro/shard/``.)
 SIM023  Parent-only accounting state (perf counters, quantum stats,
         timelines) must not be mutated in worker-executed functions —
         the parent runs the one quantum loop that owns all accounting,
         so a worker-side mutation is lost at join or double-counted.
 ======= ===============================================================
 
+The third shard rule, SIM022 (no thread/lock/pool state in the
+fork-inherited sim core), is a per-file rule of :mod:`repro.analysis.rules`.
+
 *Worker-executed* functions are the ``Process(target=...)`` targets plus
 their transitive same-module callees; everything else in the module runs
-parent-side.  Sides, tags, and array names are all resolved from the
-module source alone, so the pass works unchanged on golden fixtures.
+parent-side.  Sides and tags are resolved from the module source alone,
+so the pass works unchanged on golden fixtures.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Any, Iterable, Optional
+from typing import Optional
 
 from repro.analysis.rules import Finding, zone_of
 
@@ -62,7 +52,7 @@ def _snippet(lines: list[str], line: int) -> str:
 
 
 # --------------------------------------------------------------------- #
-# Module model: functions, sides, tags, ownership table
+# Module model: functions, sides, tags
 # --------------------------------------------------------------------- #
 
 
@@ -74,7 +64,6 @@ class _ShardModule:
         self.lines = lines
         self.functions: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = {}
         self.tags: dict[str, str] = {}  # constant name -> tag string
-        self.shm_owners: dict[str, str] = {}
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self.functions[node.name] = node
@@ -85,15 +74,6 @@ class _ShardModule:
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 self._collect_constant(node)
         self.worker_functions = self._worker_closure()
-        self.creation_functions = {
-            name
-            for name, fn in self.functions.items()
-            if any(
-                isinstance(call, ast.Call)
-                and _terminal(call.func) == "RawArray"
-                for call in ast.walk(fn)
-            )
-        }
 
     def _collect_constant(self, node: ast.Assign | ast.AnnAssign) -> None:
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -103,15 +83,6 @@ class _ShardModule:
         name = targets[0].id
         if isinstance(value, ast.Constant) and isinstance(value.value, str):
             self.tags[name] = value.value
-        elif name == "SHM_OWNERS" and isinstance(value, ast.Dict):
-            try:
-                literal = ast.literal_eval(value)
-            except ValueError:
-                return
-            if isinstance(literal, dict):
-                self.shm_owners = {
-                    str(key): str(side) for key, side in literal.items()
-                }
 
     def _worker_closure(self) -> set[str]:
         """``Process(target=F)`` targets plus transitive same-module callees."""
@@ -153,65 +124,6 @@ def _terminal(node: ast.expr) -> Optional[str]:
     if isinstance(node, ast.Name):
         return node.id
     return None
-
-
-# --------------------------------------------------------------------- #
-# SIM020: shared-memory ownership
-# --------------------------------------------------------------------- #
-
-
-def _check_shm_ownership(module: _ShardModule) -> list[Finding]:
-    if not module.shm_owners:
-        return []
-    findings: list[Finding] = []
-    for name, fn in module.functions.items():
-        if name in module.creation_functions:
-            continue  # pre-fork initialization may touch every array
-        side = module.side_of(name)
-        for node in ast.walk(fn):
-            target: Optional[ast.expr] = None
-            if isinstance(node, ast.Assign):
-                for candidate in node.targets:
-                    findings.extend(
-                        _shm_write_findings(module, name, side, candidate)
-                    )
-                continue
-            if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                target = node.target
-            if target is not None:
-                findings.extend(_shm_write_findings(module, name, side, target))
-    return findings
-
-
-def _shm_write_findings(
-    module: _ShardModule, function_name: str, side: str, target: ast.expr
-) -> list[Finding]:
-    if not (
-        isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name)
-    ):
-        return []
-    array = target.value.id
-    owner = module.shm_owners.get(array)
-    if owner is None or owner == side:
-        return []
-    line = target.lineno
-    return [
-        Finding(
-            rule="SIM020",
-            path=module.path,
-            line=line,
-            col=target.col_offset,
-            message=(
-                f"shared-memory array {array!r} is owned by the {owner} side "
-                f"of the barrier protocol, but {function_name}() runs "
-                f"{side}-side; the non-owner must only read, after the barrier"
-            ),
-            snippet=_snippet(module.lines, line),
-            chain=(
-                (module.path, line, f"{side}-side write in {function_name}()"),
-            ),
-        )
-    ]
 
 
 # --------------------------------------------------------------------- #
@@ -325,9 +237,6 @@ def _check_tag_pairing(module: _ShardModule) -> list[Finding]:
                         "barrier"
                     ),
                     snippet=_snippet(module.lines, line),
-                    chain=(
-                        (module.path, line, f"{sender} sends {tag}"),
-                    ),
                 )
             )
     return findings
@@ -382,7 +291,6 @@ def _check_worker_accounting(module: _ShardModule) -> list[Finding]:
                         "are lost at join or double-counted)"
                     ),
                     snippet=_snippet(module.lines, line),
-                    chain=((module.path, line, f"mutation in worker {name}()"),),
                 )
             )
     return findings
@@ -401,49 +309,12 @@ def _accounting_attr(node: ast.expr) -> Optional[str]:
 
 
 # --------------------------------------------------------------------- #
-# SIM022: sync primitives in fork-inherited objects (index-driven)
-# --------------------------------------------------------------------- #
-
-
-def sync_site_findings(
-    summaries: Iterable[dict[str, Any]],
-    lines_by_path: Optional[dict[str, list[str]]] = None,
-) -> list[Finding]:
-    """SIM022 findings from the index's sync-construction sites."""
-    findings: list[Finding] = []
-    for summary in summaries:
-        if summary.get("zone") != "sim-core":
-            continue
-        path = summary["path"]
-        lines = (lines_by_path or {}).get(path, [])
-        for ctor, line in summary.get("sync_sites", []):
-            findings.append(
-                Finding(
-                    rule="SIM022",
-                    path=path,
-                    line=line,
-                    col=0,
-                    message=(
-                        f"{ctor}() constructed in the sim core: shard workers "
-                        "fork with the built simulator, and thread/lock/queue/"
-                        "pool state does not survive fork (an inherited locked "
-                        "lock deadlocks the child); create it post-fork in the "
-                        "owning process"
-                    ),
-                    snippet=_snippet(lines, line),
-                    chain=((path, line, f"{ctor} constructed here"),),
-                )
-            )
-    return findings
-
-
-# --------------------------------------------------------------------- #
 # Entry point
 # --------------------------------------------------------------------- #
 
 
 def check_shard_source(source: str, path: str) -> list[Finding]:
-    """SIM020/SIM021/SIM023 findings for one ``repro/shard/`` module."""
+    """SIM021/SIM023 findings for one ``repro/shard/`` module."""
     if zone_of(path) != "sim-core" or not is_shard_path(path):
         return []
     try:
@@ -451,11 +322,7 @@ def check_shard_source(source: str, path: str) -> list[Finding]:
     except SyntaxError:
         return []  # SIM000 already reported by the per-file pass
     module = _ShardModule(tree, path, source.splitlines())
-    findings = (
-        _check_shm_ownership(module)
-        + _check_tag_pairing(module)
-        + _check_worker_accounting(module)
-    )
+    findings = _check_tag_pairing(module) + _check_worker_accounting(module)
     return sorted(findings, key=Finding.sort_key)
 
 
@@ -463,5 +330,4 @@ __all__ = [
     "PARENT_ONLY_ATTRS",
     "check_shard_source",
     "is_shard_path",
-    "sync_site_findings",
 ]

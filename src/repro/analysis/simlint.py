@@ -1,29 +1,25 @@
-"""simlint v2: the whole-program PDES determinism lint, runnable as a module.
+"""simlint: the PDES determinism lint, runnable as a module.
 
 Usage::
 
     python -m repro.analysis.simlint src tests
-    python -m repro.analysis.simlint --format sarif --output simlint.sarif src
-    python -m repro.analysis.simlint --explain SIM013
+    python -m repro.analysis.simlint --format json --output simlint.json src
+    python -m repro.analysis.simlint --explain SIM022
     python -m repro.analysis.simlint --write-baseline src tests
 
-Three passes run over the given files/directories (default ``src tests``):
+Every file under the given files/directories (default ``src tests``) is
+checked on its own:
 
-1. the legacy per-file rules (SIM000-SIM006) of
-   :mod:`repro.analysis.rules`, zone-scoped by path;
-2. the whole-program determinism dataflow (SIM010-SIM014) of
-   :mod:`repro.analysis.dataflow`, over per-file taint summaries built by
-   the project index (:mod:`repro.analysis.index`) — both findings and
-   summaries are cached by content hash under ``.repro_cache/simlint/``,
-   so warm runs re-parse nothing;
-3. the shard-safety pass (SIM020-SIM023) of
+1. the per-file rules (SIM000-SIM006, SIM022) of
+   :mod:`repro.analysis.rules`, zone-scoped by path — a file that does not
+   parse or is not UTF-8 is itself a SIM000 finding, never a crash;
+2. the shard-protocol rules (SIM021, SIM023) of
    :mod:`repro.analysis.shardrules` over ``repro/shard/`` modules.
 
 Findings are merged, the checked-in baseline (``simlint.baseline``)
-subtracted, and the rest reported as text, JSON, or SARIF 2.1.0 (for
-GitHub code-scanning annotations).  Exit status is 0 when no active
-findings remain, 1 when findings (or, with ``--strict``, stale baseline
-entries) exist or ``--max-seconds`` is exceeded, and 2 on usage errors.
+subtracted, and the rest reported as text or JSON.  Exit status is 0
+when no active findings remain, 1 when findings (or, with ``--strict``,
+stale baseline entries) exist, and 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -31,27 +27,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis import dataflow, shardrules
+from repro.analysis import shardrules
 from repro.analysis.baseline import (
     apply_baseline,
     fingerprint_findings,
     load_baseline,
     write_baseline,
 )
-from repro.analysis.index import IndexedFile, build_index, default_cache_dir
-from repro.analysis.rules import RULE_DOCS, RULES, Finding, zone_of
-from repro.analysis.sarif import dumps as sarif_dumps
-from repro.analysis.sarif import to_sarif
+from repro.analysis.rules import RULE_DOCS, RULES, Finding, lint_source, zone_of
 
 #: Default baseline filename, resolved against the working directory.
 DEFAULT_BASELINE = "simlint.baseline"
 
-#: Schema version of the ``--format json`` output (2 adds ``chain``).
-JSON_SCHEMA_VERSION = 2
+#: Schema version of the ``--format json`` output (3 drops ``chain``).
+JSON_SCHEMA_VERSION = 3
 
 #: Path substrings excluded from directory walks by default.  The golden
 #: corpus is deliberately full of violations; explicit file arguments
@@ -103,40 +95,37 @@ def display_path(path: Path) -> str:
     return relative.as_posix()
 
 
+def _lint_file(file: Path, path: str) -> list[Finding]:
+    """Both passes over one file, reported under display path *path*."""
+    content = file.read_bytes()
+    try:
+        source = content.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # Quarantine, don't crash: an undecodable file becomes a finding.
+        message = (
+            f"file is not valid UTF-8 ({err.reason} at byte {err.start}); "
+            "quarantined from analysis"
+        )
+        return [Finding("SIM000", path, 1, 0, message, "")]
+    findings = lint_source(source, path)
+    if shardrules.is_shard_path(path):
+        findings += shardrules.check_shard_source(source, path)
+    return findings
+
+
 def run_lint(
     paths: Sequence[str],
     rules: Optional[set[str]] = None,
-    use_cache: bool = True,
-    cache_dir: Optional[Path] = None,
     exclude: Sequence[str] = DEFAULT_EXCLUDES,
 ) -> list[Finding]:
-    """All three passes over *paths*; returns merged, sorted findings."""
-    files = [(file, display_path(file)) for file in iter_python_files(paths, exclude)]
-    indexed, _cache = build_index(files, cache_dir=cache_dir, use_cache=use_cache)
-    findings = _findings_of_index(indexed)
-    if rules is not None:
-        findings = [f for f in findings if f.rule in rules]
+    """Every rule over *paths*; returns merged, sorted findings."""
+    findings = [
+        finding
+        for file in iter_python_files(paths, exclude)
+        for finding in _lint_file(file, display_path(file))
+        if rules is None or finding.rule in rules
+    ]
     return sorted(findings, key=Finding.sort_key)
-
-
-def _findings_of_index(indexed: list[IndexedFile]) -> list[Finding]:
-    """Merge per-file, dataflow, and shard-pass findings for an index."""
-    findings: list[Finding] = []
-    lines_by_path: dict[str, list[str]] = {}
-    summaries = []
-    for entry in indexed:
-        findings.extend(entry.findings)
-        lines_by_path[entry.path] = entry.lines
-        if entry.summary is not None:
-            summaries.append(entry.summary)
-    findings.extend(dataflow.analyze(summaries, source_lines=lines_by_path))
-    findings.extend(shardrules.sync_site_findings(summaries, lines_by_path))
-    for entry in indexed:
-        if shardrules.is_shard_path(entry.path) and entry.lines:
-            findings.extend(
-                shardrules.check_shard_source("\n".join(entry.lines), entry.path)
-            )
-    return findings
 
 
 def _json_report(
@@ -153,7 +142,6 @@ def _json_report(
                 "col": finding.col,
                 "message": finding.message,
                 "snippet": finding.snippet,
-                "chain": [list(step) for step in finding.chain],
                 "zone": zone_of(finding.path),
                 "fingerprint": digest,
                 "suppressed": is_suppressed,
@@ -181,8 +169,8 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.simlint",
         description=(
-            "PDES determinism lint: per-file rules SIM000-SIM006, "
-            "whole-program dataflow SIM010-SIM014, shard safety SIM020-SIM023."
+            "PDES determinism lint: per-file rules SIM000-SIM006 and SIM022, "
+            "shard protocol rules SIM021 and SIM023."
         ),
     )
     parser.add_argument(
@@ -193,7 +181,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=["text", "json", "sarif"],
+        choices=["text", "json"],
         default="text",
         help="report format (default: text)",
     )
@@ -230,17 +218,6 @@ def _parser() -> argparse.ArgumentParser:
         help="print the extended documentation for RULE and exit",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the content-hash index cache (always re-parse)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help=f"index cache directory (default: {default_cache_dir()})",
-    )
-    parser.add_argument(
         "--exclude",
         action="append",
         default=None,
@@ -249,13 +226,6 @@ def _parser() -> argparse.ArgumentParser:
             "extra path fragment to skip during directory walks "
             f"(always excluded: {', '.join(DEFAULT_EXCLUDES)})"
         ),
-    )
-    parser.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        metavar="T",
-        help="fail (exit 1) if linting takes longer than T seconds",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule table and exit"
@@ -290,19 +260,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
 
     exclude = list(DEFAULT_EXCLUDES) + (args.exclude or [])
-    started = time.perf_counter()
     try:
-        findings = run_lint(
-            args.paths,
-            rules,
-            use_cache=not args.no_cache,
-            cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-            exclude=exclude,
-        )
+        findings = run_lint(args.paths, rules, exclude=exclude)
     except FileNotFoundError as err:
         print(str(err), file=sys.stderr)
         return 2
-    elapsed = time.perf_counter() - started
 
     baseline_path = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE)
 
@@ -326,9 +288,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out = open(args.output, "w", encoding="utf-8")
         close_out = True
     try:
-        if args.format == "sarif":
-            out.write(sarif_dumps(to_sarif(active, suppressed, stale)))
-        elif args.format == "json":
+        if args.format == "json":
             json.dump(_json_report(active, suppressed, stale), out, indent=2)
             out.write("\n")
         else:
@@ -336,8 +296,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(finding.render(), file=out)
                 if finding.snippet:
                     print(f"    {finding.snippet}", file=out)
-                for path, line, note in finding.chain:
-                    print(f"    via {path}:{line}: {note}", file=out)
     finally:
         if close_out:
             out.close()
@@ -354,13 +312,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         print(summary, file=sys.stderr)
 
-    if args.max_seconds is not None and elapsed > args.max_seconds:
-        print(
-            f"simlint: lint took {elapsed:.2f}s, over the --max-seconds "
-            f"budget of {args.max_seconds:.2f}s",
-            file=sys.stderr,
-        )
-        return 1
     if active:
         return 1
     if stale and args.strict:

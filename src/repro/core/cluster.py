@@ -66,7 +66,7 @@ from repro.engine.units import SECOND, SimTime, format_time
 from repro.faults.injector import FaultInjector, FaultStats
 from repro.faults.plan import FaultPlan
 from repro.network.controller import ControllerStats, NetworkController
-from repro.network.packet import Packet
+from repro.network.packet import Packet, set_packet_ids
 from repro.node.hostmodel import BUSY, HostExecutionModel, HostModelParams
 from repro.node.node import NodeStats, SimulatedNode
 from repro.node.sampling import SampledHostExecutionModel, SamplingSchedule
@@ -566,6 +566,10 @@ class ClusterSimulator:
             state = _LoopState(**self._resume)
             self._resume = None
         else:
+            # Packet ids are per run: a fresh run numbers its frames from
+            # 0 whatever ran earlier in this process (a resumed run keeps
+            # the position its snapshot restored).
+            set_packet_ids(0)
             state = _LoopState(
                 q_state=policy.initial(),
                 timeline=(

@@ -40,7 +40,8 @@ def packet_id_position() -> int:
 
 
 def set_packet_ids(position: int) -> None:
-    """Continue the counter from *position* (checkpoint restore helper)."""
+    """Continue the counter from *position*: 0 at the start of every fresh
+    run, the captured position on checkpoint restore."""
     global _packet_ids
     _packet_ids = itertools.count(position)
 

@@ -1,6 +1,6 @@
 # dest: src/repro/core/sched_leak.py
-# expect: SIM001:8 SIM010:13 SIM014:12
-# A wall-clock stamp laundered through a helper into event scheduling.
+# expect: SIM001:8
+# A wall-clock stamp laundered into event scheduling; the read is the finding.
 import time
 
 

@@ -1,6 +1,6 @@
 # dest: src/repro/core/result_leak.py
-# expect: SIM002:8 SIM011:9
-# An unseeded draw flowing into the run's observable result.
+# expect: SIM002:8
+# An unseeded draw flowing into the run's result; the draw is the finding.
 import random
 
 

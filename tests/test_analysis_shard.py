@@ -1,11 +1,9 @@
-"""The shard-safety pass (SIM020-SIM023).
+"""The shard-safety rules (SIM021-SIM023).
 
 Synthetic minimal drivers exercise each rule both ways (violation fires,
 protocol-respecting code stays clean), the *real* ``repro/shard/driver.py``
 must lint clean, and — the acceptance gate — a deliberately unpaired pipe
-tag in the real driver is caught.  The real driver shares no memory
-arrays (frames and per-shard facts cross its pipes), so SIM020 is held
-to its contract by the synthetic drivers alone.
+tag in the real driver is caught.
 """
 
 from __future__ import annotations
@@ -14,7 +12,8 @@ import textwrap
 from pathlib import Path
 
 from repro.analysis import simlint
-from repro.analysis.shardrules import check_shard_source, sync_site_findings
+from repro.analysis.rules import lint_source
+from repro.analysis.shardrules import check_shard_source
 
 REPO_ROOT = Path(__file__).parent.parent
 SHARD_PATH = "src/repro/shard/minimal.py"
@@ -26,104 +25,6 @@ def lint_shard(source: str, path: str = SHARD_PATH):
 
 def rules_of(findings) -> list[str]:
     return [finding.rule for finding in findings]
-
-
-# --------------------------------------------------------------------- #
-# SIM020: shared-memory ownership
-# --------------------------------------------------------------------- #
-
-OWNED_PREAMBLE = """
-    import multiprocessing
-    from multiprocessing.sharedctypes import RawArray
-
-    _STEP = "step"
-
-    SHM_OWNERS = {"rates": "parent", "times": "worker"}
-
-    def launch(num):
-        rates = RawArray("d", num)
-        times = RawArray("q", num)
-        rates[:] = [1.0] * num
-        ctx = multiprocessing.get_context("fork")
-        parent, child = ctx.Pipe()
-        proc = ctx.Process(target=_worker, args=(child, rates, times))
-        proc.start()
-        parent.send((_STEP, 0))
-        return parent.recv()
-"""
-
-
-def test_sim020_worker_writes_parent_array() -> None:
-    findings = lint_shard(
-        OWNED_PREAMBLE
-        + """
-    def _worker(conn, rates, times):
-        while True:
-            op, node = conn.recv()
-            if op == _STEP:
-                rates[node] = 0.0
-                conn.send((_STEP, node))
-            else:
-                break
-    """
-    )
-    assert rules_of(findings) == ["SIM020"]
-    assert "rates" in findings[0].message
-    assert "parent" in findings[0].message
-
-
-def test_sim020_parent_writes_worker_array() -> None:
-    findings = lint_shard(
-        OWNED_PREAMBLE.replace("parent.send((_STEP, 0))",
-                               "times[0] = 1\n        parent.send((_STEP, 0))")
-        + """
-    def step(times):
-        times[0] = 5
-
-    def _worker(conn, rates, times):
-        while True:
-            op, node = conn.recv()
-            if op == _STEP:
-                conn.send((_STEP, node))
-            else:
-                break
-    """
-    )
-    # launch() creates the arrays (pre-fork init) and is exempt; the
-    # parent-side helper step() is not.
-    assert rules_of(findings) == ["SIM020"]
-    assert "step()" in findings[0].message
-
-
-def test_sim020_owner_writes_are_clean() -> None:
-    findings = lint_shard(
-        OWNED_PREAMBLE
-        + """
-    def publish(rates):
-        rates[:] = [2.0]
-
-    def _worker(conn, rates, times):
-        while True:
-            op, node = conn.recv()
-            if op == _STEP:
-                times[node] = 7
-                conn.send((_STEP, node))
-            else:
-                break
-    """
-    )
-    assert findings == []
-
-
-def test_sim020_requires_ownership_table() -> None:
-    # No SHM_OWNERS declaration -> the rule has nothing to enforce.
-    findings = lint_shard(
-        """
-        def f(arr):
-            arr[0] = 1
-        """
-    )
-    assert findings == []
 
 
 # --------------------------------------------------------------------- #
@@ -309,7 +210,7 @@ def test_sim023_covers_transitive_worker_callees() -> None:
 
 
 # --------------------------------------------------------------------- #
-# SIM022: sync primitives in fork-inherited objects (index-driven)
+# SIM022: sync primitives in fork-inherited objects
 # --------------------------------------------------------------------- #
 
 
@@ -322,18 +223,15 @@ def test_sim022_lock_in_sim_core(tmp_path, monkeypatch) -> None:
         "        self._lock = threading.Lock()\n"
     )
     monkeypatch.chdir(tmp_path)
-    findings = simlint.run_lint(["src"], use_cache=False)
+    findings = simlint.run_lint(["src"])
     assert rules_of(findings) == ["SIM022"]
     assert "threading.Lock" in findings[0].message
 
 
 def test_sim022_harness_zone_exempt() -> None:
-    summary = {
-        "path": "src/repro/harness/pool.py",
-        "zone": "harness",
-        "sync_sites": [["threading.Lock", 3]],
-    }
-    assert sync_site_findings([summary]) == []
+    source = "import threading\n\n_LOCK = threading.Lock()\n"
+    assert lint_source(source, "src/repro/harness/pool.py") == []
+    assert rules_of(lint_source(source, "src/repro/node/pool.py")) == ["SIM022"]
 
 
 def test_sim022_shard_process_machinery_not_flagged(tmp_path, monkeypatch) -> None:
@@ -346,7 +244,7 @@ def test_sim022_shard_process_machinery_not_flagged(tmp_path, monkeypatch) -> No
         "    return ctx.Pipe()\n"
     )
     monkeypatch.chdir(tmp_path)
-    findings = simlint.run_lint(["src"], use_cache=False)
+    findings = simlint.run_lint(["src"])
     assert findings == []
 
 

@@ -628,7 +628,7 @@ def test_cli_json_schema(tmp_path: Path, capsys) -> None:
     (finding,) = report["findings"]
     assert set(finding) == {
         "rule", "path", "line", "col", "message", "snippet", "zone",
-        "fingerprint", "suppressed", "chain",
+        "fingerprint", "suppressed",
     }
     assert finding["rule"] == "SIM001"
     assert finding["zone"] == "sim-core"
@@ -656,6 +656,19 @@ def test_cli_strict_flags_stale_entries(tmp_path: Path, capsys) -> None:
     assert simlint.main(["--baseline", str(baseline), str(root)]) == 0
     assert simlint.main(["--strict", "--baseline", str(baseline), str(root)]) == 1
     capsys.readouterr()
+
+
+def test_undecodable_source_becomes_sim000(tmp_path, monkeypatch) -> None:
+    """A file that is not UTF-8 is quarantined as a finding, not a crash."""
+    target = tmp_path / "src/repro/core/binary.py"
+    target.parent.mkdir(parents=True)
+    target.write_bytes(b"x = 1\n\xff\xfe garbage\n")
+    monkeypatch.chdir(tmp_path)
+
+    findings = simlint.run_lint(["src"])
+    assert [f.rule for f in findings] == ["SIM000"]
+    assert "not valid UTF-8" in findings[0].message
+    assert "quarantined" in findings[0].message
 
 
 def test_cli_list_rules(capsys) -> None:

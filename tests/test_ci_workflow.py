@@ -72,6 +72,22 @@ def test_sharded_smoke_runs_the_shard_suite_on_one_cpu():
     ]
 
 
+def test_simlint_gates_once_per_lint_row_without_retired_options():
+    """One strict simlint step per ``lint`` matrix row; the warm-cache
+    timing guard and the SARIF export went with the project index."""
+    steps = _run_steps()
+    strict = [
+        label.split("/")[0]
+        for label, script in steps
+        if "repro.analysis.simlint" in script and "--strict" in script.split()
+    ]
+    assert strict == ["lint"]
+    for label, script in steps:
+        words = " ".join(script.split())
+        assert "--max-seconds" not in words, label
+        assert "--format sarif" not in words, label
+
+
 def test_steps_name_only_files_that_exist():
     for label, script in _run_steps():
         for path in _PATH.findall(script):

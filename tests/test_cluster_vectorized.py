@@ -23,8 +23,6 @@ Coverage:
 
 from __future__ import annotations
 
-import dataclasses
-
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import (
@@ -70,27 +68,6 @@ WORKLOADS = {
 }
 
 
-def _normalize_packet_ids(events):
-    """Rebase absolute packet ids to per-run dense indices.
-
-    ``Packet.packet_id`` comes from a process-global counter, so two runs
-    in one process see different absolute ids even when they create the
-    exact same packets in the exact same order.  Remapping ids by first
-    appearance makes the comparison exact while still verifying that the
-    two streams reference packets in the same relative pattern.
-    """
-    mapping: dict[int, int] = {}
-    normalized = []
-    for event in events:
-        packet_id = getattr(event, "packet_id", None)
-        if packet_id is None:
-            normalized.append(event)
-            continue
-        dense = mapping.setdefault(packet_id, len(mapping))
-        normalized.append(dataclasses.replace(event, packet_id=dense))
-    return normalized
-
-
 def _run(
     apps_factory,
     size,
@@ -121,11 +98,7 @@ def _run(
     )
     sim = ClusterSimulator(nodes, controller, policy_factory(), config)
     result = sim.run()
-    events = (
-        _normalize_packet_ids(sim.collector.events)
-        if sim.collector is not None
-        else None
-    )
+    events = list(sim.collector.events) if sim.collector is not None else None
     counts = dict(sim.collector.counts) if sim.collector is not None else None
     return result, sim, events, counts
 

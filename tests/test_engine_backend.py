@@ -325,7 +325,7 @@ class TestCrossBackend:
     @pytest.mark.parametrize("case", INTERLEAVED)
     def test_interleaved_windows_match_scalar_python(self, case):
         """Backend x driver grid against scalar-python, on ``RunResult``
-        and the normalized trace stream."""
+        and the trace stream."""
         apps_factory, policy_factory, options = INTERLEAVED[case]
         _assert_equivalent(apps_factory, 8, policy_factory, **options)
 

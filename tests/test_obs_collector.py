@@ -142,6 +142,24 @@ class TestCollectorMechanics:
         for event in events:
             assert "time" in event and "kind" in event
 
+    def test_repeated_traced_run_writes_identical_jsonl(self, tmp_path):
+        """Packet ids are per run: a traced run's JSONL bytes do not
+        depend on what ran before it in the same process."""
+
+        def traced_bytes(name):
+            path = tmp_path / f"{name}.jsonl"
+            runner = ExperimentRunner(
+                seed=SEED, trace=TraceConfig(capacity=0, jsonl_path=str(path))
+            )
+            runner.run_spec(_is(), 4, _adaptive())
+            (written,) = tmp_path.glob(f"{name}-*.jsonl")
+            return written.read_bytes()
+
+        first = traced_bytes("first")
+        ExperimentRunner(seed=SEED).run_spec(_is(), 4, _fixed(100))
+        assert b'"packet_id"' in first
+        assert traced_bytes("second") == first
+
     def test_for_run_uniquifies_jsonl_paths(self):
         config = TraceConfig(jsonl_path="traces/batch.jsonl")
         a = config.for_run("IS", 4, "dyn 1:100")
