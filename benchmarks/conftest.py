@@ -1,36 +1,4 @@
-"""Shared fixtures for the figure/table benchmarks.
+"""Shared by everything under ``benchmarks/``."""
 
-Every benchmark regenerates one of the paper's artefacts; the rendered
-text table goes both to stdout (run pytest with ``-s`` to watch) and to
-``benchmarks/out/<name>.txt`` so the results survive the run.
-"""
-
-from __future__ import annotations
-
-import pathlib
-
-import pytest
-
-OUT_DIR = pathlib.Path(__file__).parent / "out"
-
-#: One root seed for every benchmark run, so artefacts are comparable.
+#: One root seed for every artefact and benchmark run, so they are comparable.
 BENCH_SEED = 42
-
-
-@pytest.fixture(scope="session")
-def artifact_dir() -> pathlib.Path:
-    OUT_DIR.mkdir(exist_ok=True)
-    return OUT_DIR
-
-
-@pytest.fixture
-def save_artifact(artifact_dir):
-    """Write (and echo) a rendered figure/table."""
-
-    def _save(name: str, text: str) -> pathlib.Path:
-        path = artifact_dir / f"{name}.txt"
-        path.write_text(text + "\n")
-        print(f"\n{text}\n[saved to {path}]")
-        return path
-
-    return _save

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Scale out to 64 nodes: the paper's Section 6 case studies.
 
-Runs one of the three 64-node scenarios (EP, IS, NAMD) end to end:
-ground truth, two fixed quanta, and the per-case adaptive range, then
-prints the case-study table next to the paper's reported numbers and an
-ASCII rendition of the Figure 9 traffic chart.
+Runs one of the three 64-node scenarios (EP, IS, NAMD) end to end through
+its ``sec6_<case>`` artefact entry: ground truth, two fixed quanta, and the
+per-case adaptive range, then prints the case-study table next to the
+paper's reported numbers and an ASCII rendition of the Figure 9 traffic
+chart.
 
 Run:  python examples/scaling_out.py --case EP     (fast)
       python examples/scaling_out.py --case NAMD   (slower, dense traffic)
@@ -13,7 +14,7 @@ Run:  python examples/scaling_out.py --case EP     (fast)
 import argparse
 
 from repro import ExperimentRunner, scaleout_configs
-from repro.harness import figures
+from repro.harness.artefacts import ARTEFACTS
 
 
 def main():
@@ -23,11 +24,10 @@ def main():
     args = parser.parse_args()
 
     config = next(c for c in scaleout_configs() if c.name == args.case)
+    entry = next(e for e in ARTEFACTS if e.command == "sec6" and e.case == args.case)
 
     runner = ExperimentRunner(seed=args.seed, record_traffic=True)
-    result = figures.section6(runner, config)
-    print(result.render())
-    print(f"\npaper reported {config.name}: {config.paper_rows}")
+    print(entry.text(runner))
 
     truth = runner.ground_truth(config.workload_factory(), config.size)
     if truth.trace is not None:

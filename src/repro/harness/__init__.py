@@ -11,8 +11,12 @@
   fan-out plus the persistent on-disk result cache.
 * :mod:`repro.harness.report` — fixed-width text tables for every figure
   and table in the paper.
-* :mod:`repro.harness.sweep` — parameter sweeps (inc/dec ablations).
-* :mod:`repro.harness.cli` — ``repro-cluster`` command-line entry point.
+* :mod:`repro.harness.artefacts` — ``ARTEFACTS``, every paper artefact
+  declared once: its cells, the renderer of its committed
+  ``benchmarks/out/<name>.txt`` and its shape claims (imported on demand,
+  not by ``import repro``).
+* :mod:`repro.harness.cli` — ``repro-cluster`` command-line entry point,
+  whose artefact subcommands print ``ARTEFACTS`` entries.
 """
 
 from repro.harness.configs import (

@@ -1,13 +1,14 @@
 """Command-line entry point: ``repro-cluster <artefact>``.
 
-Regenerates any of the paper's figures or tables from the terminal::
+Regenerates any of the paper's figures or tables from the terminal; each
+artefact subcommand prints its ``repro.harness.artefacts`` entry's text::
 
     repro-cluster fig6              # NAS accuracy + speedup matrix
     repro-cluster fig7              # NAMD accuracy + speedup matrix
     repro-cluster fig8              # Pareto optimality at 8 nodes
     repro-cluster sec6 --case IS    # one 64-node case study
     repro-cluster fig9 --case NAMD  # traffic + speedup-over-time
-    repro-cluster sweep --workload IS
+    repro-cluster sweep             # inc/dec ablation on IS and EP
     repro-cluster fig6 --faults lossy-1   # same matrix over a lossy fabric
     repro-cluster sec6 --case IS --trace traces/ --trace-diff
     repro-cluster service --rate 20000 --requests 2000 --slo-us 200
@@ -20,37 +21,30 @@ import dataclasses
 import sys
 import time
 from pathlib import Path
-from typing import Optional
 
 from repro.engine.units import MILLISECOND
-from repro.faults.plan import PRESETS, FaultPlan, load_plan
-from repro.harness import figures
-from repro.harness.configs import GROUND_TRUTH_LABEL, scaleout_configs
+from repro.faults.plan import PRESETS, load_plan
+from repro.harness.artefacts import ARTEFACTS
+from repro.harness.configs import GROUND_TRUTH_LABEL
 from repro.harness.experiment import ExperimentRecord
 from repro.harness.parallel import ParallelRunner
-from repro.harness.settings import RunnerSettings
+from repro.harness.settings import RunnerSettings, with_recovery
 from repro.harness.supervise import RunTimeout
-from repro.harness.sweep import sweep_inc_dec
-from repro.node.transport import RecoveryConfig, TransportConfig
 from repro.obs.collector import TraceConfig, run_slug
 from repro.obs.diff import diff_traces
 from repro.obs.export import write_chrome_trace, write_jsonl
-from repro.workloads import (
-    CgWorkload,
-    EpWorkload,
-    IsWorkload,
-    LuWorkload,
-    MgWorkload,
-    NamdWorkload,
-)
 
-_WORKLOADS = {
-    "EP": EpWorkload,
-    "IS": IsWorkload,
-    "CG": CgWorkload,
-    "MG": MgWorkload,
-    "LU": LuWorkload,
-    "NAMD": NamdWorkload,
+#: The artefact subcommands: name -> (help, default ``--case`` when the
+#: entries printed by the subcommand have cases).
+_ARTEFACT_COMMANDS = {
+    "fig6": ("NAS accuracy and speedup matrix", None),
+    "fig7": ("NAMD accuracy and speedup matrix", None),
+    "fig8": ("Pareto optimality at 8 nodes", None),
+    "sec6": ("64-node scale-out case studies", "all"),
+    "fig9": ("traffic + speedup-over-time, 64 nodes", "EP"),
+    "sweep": ("inc/dec ablation sweep", None),
+    "transport": ("windowed-transport (TCP-like) feedback ablation", None),
+    "sampling": ("adaptive quantum x node sampling (paper §7)", None),
 }
 
 
@@ -207,45 +201,18 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fig6 = sub.add_parser(
-        "fig6", help="NAS accuracy and speedup matrix", parents=[common]
-    )
-    fig6.add_argument("--sizes", type=int, nargs="+", default=[2, 4, 8])
-
-    fig7 = sub.add_parser(
-        "fig7", help="NAMD accuracy and speedup matrix", parents=[common]
-    )
-    fig7.add_argument("--sizes", type=int, nargs="+", default=[2, 4, 8])
-
-    sub.add_parser("fig8", help="Pareto optimality at 8 nodes", parents=[common])
-
-    sec6 = sub.add_parser(
-        "sec6", help="64-node scale-out case studies", parents=[common]
-    )
-    sec6.add_argument("--case", choices=["EP", "IS", "NAMD", "all"], default="all")
-
-    fig9 = sub.add_parser(
-        "fig9", help="traffic + speedup-over-time, 64 nodes", parents=[common]
-    )
-    fig9.add_argument("--case", choices=["EP", "IS", "NAMD"], default="EP")
-
-    sweep = sub.add_parser("sweep", help="inc/dec ablation sweep", parents=[common])
-    sweep.add_argument("--workload", choices=sorted(_WORKLOADS), default="IS")
-    sweep.add_argument("--size", type=int, default=8)
-
-    transport = sub.add_parser(
-        "transport",
-        help="windowed-transport (TCP-like) feedback ablation",
-        parents=[common],
-    )
-    transport.add_argument("--window-kib", type=int, default=16)
-
-    sampling = sub.add_parser(
-        "sampling",
-        help="adaptive quantum x node sampling (paper §7)",
-        parents=[common],
-    )
-    sampling.add_argument("--detail-fraction", type=float, default=0.2)
+    # One subcommand per artefact command; its options only select cells.
+    for command, (help_text, default_case) in _ARTEFACT_COMMANDS.items():
+        artefact = sub.add_parser(command, help=help_text, parents=[common])
+        entries = [entry for entry in ARTEFACTS if entry.command == command]
+        cases = [entry.case for entry in entries if entry.case is not None]
+        if cases:
+            choices = cases + ["all"] if default_case == "all" else cases
+            artefact.add_argument("--case", choices=choices, default=default_case)
+        if entries[0].sizes:
+            artefact.add_argument(
+                "--sizes", type=int, nargs="+", default=list(entries[0].sizes)
+            )
 
     service = sub.add_parser(
         "service",
@@ -290,13 +257,6 @@ def _parse_burst(spec: str):
         raise SystemExit(
             f"invalid --burst {spec!r} (expected START_MS:END_MS:FACTOR): {error}"
         ) from error
-
-
-def _scaleout(case: str):
-    for config in scaleout_configs():
-        if config.name == case:
-            return config
-    raise SystemExit(f"unknown case {case!r}")
 
 
 def _export_traces(
@@ -345,19 +305,6 @@ def _render_trace_diffs(records: list[ExperimentRecord]) -> None:
             )
             print()
             print(diff.render())
-
-
-def _with_recovery(
-    transport: Optional[TransportConfig], faults: Optional[FaultPlan]
-) -> Optional[TransportConfig]:
-    """Upgrade *transport* so a loss-capable fault plan is survivable."""
-    if faults is None or not faults.requires_recovery():
-        return transport
-    if transport is None:
-        return TransportConfig(recovery=RecoveryConfig())
-    if transport.recovery is None:
-        return dataclasses.replace(transport, recovery=RecoveryConfig())
-    return transport
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -413,7 +360,7 @@ def _runner_settings(args: argparse.Namespace) -> RunnerSettings:
     settings = RunnerSettings(
         **knobs,
         faults=faults,
-        transport=_with_recovery(None, faults),
+        transport=with_recovery(None, faults),
         trace=TraceConfig() if tracing else None,
         # --run-timeout doubles as the stall bound: a run that completes
         # no quantum for the whole budget is wedged by definition.
@@ -430,85 +377,32 @@ def _execute(args: argparse.Namespace) -> int:
     if faults is not None:
         recovery = " (recovery transport enabled)" if faults.requires_recovery() else ""
         print(f"[faults] {faults.describe()}{recovery}", file=sys.stderr)
-    if settings.trace is not None and args.command == "sampling":
-        raise SystemExit("--trace/--trace-diff are not supported for 'sampling'")
-    #: Every runner of this invocation reports its traced runs here (the
-    #: runners figure9 derives share their parent's list).
-    traced: list[ExperimentRecord] = []
-
-    def farm(runner_settings: RunnerSettings) -> ParallelRunner:
-        created = ParallelRunner(
-            runner_settings,
-            max_workers=args.jobs,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-            progress=True,
-        )
-        created.traced_runs = traced
-        return created
+    entries = [
+        entry
+        for entry in ARTEFACTS
+        if entry.command == args.command and getattr(args, "case", "all") in ("all", entry.case)
+    ]
+    if settings.trace is not None and any(entry.hand_wired for entry in entries):
+        raise SystemExit(f"--trace/--trace-diff are not supported for {args.command!r}")
 
     started = time.time()
-    runner = farm(settings)
+    # Every runner of this invocation (the ones an entry derives too)
+    # reports its traced runs on this runner's list.
+    runner = ParallelRunner(
+        settings,
+        max_workers=args.jobs,
+        use_cache=not args.no_cache,
+        cache_dir=args.cache_dir,
+        progress=True,
+    )
+    traced = runner.traced_runs
 
-    if args.command == "fig6":
-        result = figures.run_nas_suite_matrix(runner, tuple(args.sizes))
-        print(result.render("Figure 6 — NAS (harmonic mean over EP/IS/CG/MG/LU)"))
-    elif args.command == "fig7":
-        result = figures.figure7(runner, tuple(args.sizes))
-        print(result.render("Figure 7 — NAMD"))
-    elif args.command == "fig8":
-        result = figures.figure8(runner)
-        print(result.render())
-        print(
-            f"\nmax adaptive distance to front: "
-            f"{100 * result.max_adaptive_distance():.1f}%"
-        )
-    elif args.command == "sec6":
-        cases = ["EP", "IS", "NAMD"] if args.case == "all" else [args.case]
-        for case in cases:
-            result = figures.section6(runner, _scaleout(case))
-            print(result.render())
-            print(f"paper reported: {result.paper_rows}\n")
-    elif args.command == "fig9":
-        result = figures.figure9(runner, _scaleout(args.case), bucket=MILLISECOND)
-        print(result.render())
-    elif args.command == "sweep":
-        workload = _WORKLOADS[args.workload]()
-        result = sweep_inc_dec(runner, workload, args.size)
-        print(result.render())
-        best = result.best_by_error()
-        print(f"\nbest accuracy: inc={best.inc:.2f} dec={best.dec:.2f}")
-    elif args.command == "transport":
-        from repro.core.quantum import AdaptiveQuantumPolicy, FixedQuantumPolicy
-        from repro.engine.units import MICROSECOND
-        from repro.harness.configs import PolicySpec
-        from repro.harness.report import format_table, percent, times
-        from repro.workloads import StreamWorkload
+    for index, entry in enumerate(entries):
+        if index:
+            print()
+        print(entry.text(runner, tuple(getattr(args, "sizes", ()))))
 
-        rows = []
-        for label, config in [
-            ("eager", None),
-            (f"window {args.window_kib}KiB",
-             TransportConfig(window_bytes=args.window_kib * 1024)),
-        ]:
-            transport_runner = farm(
-                dataclasses.replace(
-                    settings, transport=_with_recovery(config, faults)
-                )
-            )
-            workload = StreamWorkload()
-            transport_runner.ground_truth(workload, 2)
-            for spec in [
-                PolicySpec("1000us", lambda: FixedQuantumPolicy(1000 * MICROSECOND)),
-                PolicySpec("dyn", lambda: AdaptiveQuantumPolicy(
-                    MICROSECOND, 1000 * MICROSECOND)),
-            ]:
-                row = transport_runner.run_and_compare(workload, 2, spec)
-                rows.append([label, spec.label, percent(row.accuracy_error),
-                             times(row.exec_time_ratio, 2)])
-        print(format_table(["transport", "quantum", "error", "dilation"], rows,
-                           "Transport feedback (bulk stream, 2 nodes)"))
-    elif args.command == "service":
+    if args.command == "service":
         from repro.harness.configs import paper_policies
         from repro.harness.report import (
             format_table,
@@ -563,44 +457,6 @@ def _execute(args: argparse.Namespace) -> int:
         ))
         print()
         print(service_report(stats_rows))
-    elif args.command == "sampling":
-        from repro.core import ClusterConfig, ClusterSimulator
-        from repro.core.quantum import AdaptiveQuantumPolicy, FixedQuantumPolicy
-        from repro.engine.units import MICROSECOND
-        from repro.harness.report import format_table, times
-        from repro.network import NetworkController, PAPER_NETWORK
-        from repro.node import SimulatedNode
-        from repro.node.sampling import SamplingSchedule
-        from repro.workloads import EpWorkload
-
-        schedule = SamplingSchedule(
-            period=5 * MILLISECOND, detail_fraction=args.detail_fraction
-        )
-        results = {}
-        for sync_label, policy_factory in [
-            ("fixed 1us", lambda: FixedQuantumPolicy(MICROSECOND)),
-            ("adaptive", lambda: AdaptiveQuantumPolicy(
-                MICROSECOND, 1000 * MICROSECOND)),
-        ]:
-            for sample_label, sampling_schedule in [("detailed", None),
-                                                    ("sampled", schedule)]:
-                workload = EpWorkload()
-                nodes = [SimulatedNode(i, app, transport=settings.transport)
-                         for i, app in enumerate(workload.build_apps(8))]
-                controller = NetworkController(8, PAPER_NETWORK(8))
-                # Drives ClusterSimulator.run() directly, so of the
-                # execution-only knobs only check and backend apply.
-                config = ClusterConfig(
-                    seed=settings.seed, sampling=sampling_schedule,
-                    check=settings.check, faults=faults, backend=settings.backend,
-                )
-                results[(sync_label, sample_label)] = ClusterSimulator(
-                    nodes, controller, policy_factory(), config).run()
-        baseline = results[("fixed 1us", "detailed")]
-        rows = [[f"{a} + {b}", f"{r.host_time:.1f}s", times(r.speedup_vs(baseline))]
-                for (a, b), r in results.items()]
-        print(format_table(["configuration", "host time", "speedup"], rows,
-                           "Adaptive quantum x sampling (8-node EP)"))
 
     if args.trace_dir is not None and traced:
         _export_traces(traced, args.trace_dir, args.trace_format)

@@ -79,6 +79,9 @@ class ComparisonRow:
 class ExperimentRunner:
     """Builds and runs cluster simulations with consistent methodology."""
 
+    #: Constructor arguments besides the settings that :meth:`derive` keeps.
+    _derive_args: dict = {}
+
     def __init__(self, settings: Optional[RunnerSettings] = None, **knobs) -> None:
         #: Every knob of this runner (see :class:`RunnerSettings`, the one
         #: list of them): *knobs* are its fields, applied over *settings*.
@@ -92,10 +95,20 @@ class ExperimentRunner:
         #: the single-run analogue of ``ParallelRunner.last_fallback_reason``.
         self.last_shard_fallback_reason: Optional[str] = None
         #: Records carrying a structured trace, in completion order (the
-        #: CLI exports/diffs these after the figure orchestrators, which
+        #: CLI exports/diffs these after the artefact entries, which
         #: return rendered rows rather than records).
         self.traced_runs: list[ExperimentRecord] = []
         self._ground_truth: dict[tuple[str, int], ExperimentRecord] = {}
+
+    def derive(self, **knobs) -> "ExperimentRunner":
+        """A runner of this kind with *knobs* applied over these settings.
+
+        It keeps this runner's farm parameters and reports its traced runs
+        on this runner's list; its ground truths are its own.
+        """
+        derived = type(self)(self.settings, **self._derive_args, **knobs)
+        derived.traced_runs = self.traced_runs
+        return derived
 
     # ------------------------------------------------------------------ #
     # Single runs

@@ -342,7 +342,7 @@ class ParallelRunner(ExperimentRunner):
     Single-run methods (:meth:`run_spec`, :meth:`ground_truth`, ...) stay
     in-process but consult the disk cache; batch entry points
     (:meth:`run_many`, and everything built on it — ``run_matrix``, the
-    figure orchestrators, the inc/dec sweep) fan out.
+    artefact entries of :mod:`repro.harness.artefacts`) fan out.
 
     Args are :class:`ExperimentRunner`'s (a settings object and/or its
     knobs by keyword), plus the four farm parameters:
@@ -365,6 +365,9 @@ class ParallelRunner(ExperimentRunner):
         **knobs,
     ) -> None:
         super().__init__(settings, **knobs)
+        self._derive_args = dict(
+            max_workers=max_workers, use_cache=use_cache, cache_dir=cache_dir, progress=progress
+        )
         self.max_workers = max_workers
         self.progress = progress
         self.cache: Optional[DiskResultCache] = (

@@ -23,7 +23,7 @@ from repro.engine.units import SimTime
 from repro.faults.plan import FaultPlan
 from repro.network.latency import PAPER_NETWORK
 from repro.node.hostmodel import HostModelParams
-from repro.node.transport import TransportConfig
+from repro.node.transport import RecoveryConfig, TransportConfig
 from repro.obs.collector import TraceConfig
 
 
@@ -86,6 +86,19 @@ ARTEFACT_SHAPING = "artefact-shaping"
 #: key: results computed under any of them share entries, and keys stay
 #: byte-identical to what harness versions older than the knob computed.
 EXECUTION_ONLY = "execution-only"
+
+
+def with_recovery(
+    transport: Optional[TransportConfig], faults: Optional[FaultPlan]
+) -> Optional[TransportConfig]:
+    """Upgrade *transport* so a loss-capable fault plan is survivable."""
+    if faults is None or not faults.requires_recovery():
+        return transport
+    if transport is None:
+        return TransportConfig(recovery=RecoveryConfig())
+    if transport.recovery is None:
+        return dataclasses.replace(transport, recovery=RecoveryConfig())
+    return transport
 
 
 def _knob(group: str, default: Any = dataclasses.MISSING, **kwargs: Any) -> Any:

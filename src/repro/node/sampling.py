@@ -16,8 +16,8 @@ busy simulated time: during a detailed window a node simulates at the full
 which is exactly why the two techniques compose: sampling accelerates the
 *busy* portions that the adaptive quantum cannot help with, while the
 adaptive quantum removes the synchronization overhead that sampling cannot
-help with.  ``benchmarks/bench_extension_sampling.py`` measures the
-composition.
+help with.  The ``extension_sampling`` artefact (``repro-cluster
+sampling``) measures the composition.
 
 (The timing-estimation error that sampling itself introduces inside a node
 is a property of the node simulator, orthogonal to synchronization, and is

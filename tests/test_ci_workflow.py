@@ -72,6 +72,20 @@ def test_sharded_smoke_runs_the_shard_suite_on_one_cpu():
     ]
 
 
+def test_tests_job_runs_the_artefact_claims_and_diffs_the_tables():
+    """The paper artefacts' shape claims run in CI, and the committed tables
+    they regenerate must come out byte-identical."""
+    claims = [
+        [line.strip() for line in script.strip().splitlines()]
+        for label, script in _run_steps()
+        if label.startswith("tests/") and "benchmarks/" in script
+    ]
+    assert claims == [[
+        "PYTHONPATH=src python -m pytest -q benchmarks/",
+        "git diff --exit-code benchmarks/out/",
+    ]]
+
+
 def test_simlint_gates_once_per_lint_row_without_retired_options():
     """One strict simlint step per ``lint`` matrix row; the warm-cache
     timing guard and the SARIF export went with the project index."""

@@ -1,4 +1,4 @@
-"""Tests for the experiment harness: runner, figures, sweeps, reports, CLI.
+"""Tests for the experiment harness: runner, artefacts, sweeps, reports, CLI.
 
 Everything runs on deliberately small workload instances — the point is to
 exercise the machinery (ground-truth caching, comparisons, aggregation,
@@ -9,7 +9,8 @@ import pytest
 
 from repro.core.quantum import FixedQuantumPolicy
 from repro.engine.units import MICROSECOND
-from repro.harness import figures
+from repro.harness import artefacts
+from repro.harness.artefacts import ARTEFACTS, inc_dec_specs, sweep_text
 from repro.harness.configs import (
     PAPER_SIZES,
     PolicySpec,
@@ -20,10 +21,14 @@ from repro.harness.configs import (
 )
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.report import format_table, microseconds, percent, times
-from repro.harness.sweep import sweep_inc_dec
+from repro.metrics.pareto import pareto_front
 from repro.workloads import EpWorkload, PhaseWorkload
 
 US = MICROSECOND
+
+
+def entry(name):
+    return next(artefact for artefact in ARTEFACTS if artefact.name == name)
 
 
 def small_suite():
@@ -109,38 +114,39 @@ class TestExperimentRunner:
 
 
 class TestFigures:
-    def test_nas_suite_matrix_small(self):
+    """The artefact entries' builders and renderers on shrunk workloads."""
+
+    def test_nas_suite_matrix_small(self, monkeypatch):
+        monkeypatch.setattr(artefacts, "nas_suite", small_suite)
+        monkeypatch.setattr(artefacts, "paper_policies", lambda: paper_policies()[:2])
         runner = ExperimentRunner(seed=3)
-        result = figures.run_nas_suite_matrix(
-            runner, (2,), specs=paper_policies()[:2], suite=small_suite()
-        )
-        assert len(result.cells) == 2
-        cell = result.cell("10", 2)
+        cells = entry("fig6_nas").build(runner, (2,))
+        assert len(cells) == 2
+        cell = cells["10", 2]
         assert cell.accuracy_error < 0.2
         assert cell.speedup > 2
-        assert len(cell.per_benchmark) == 3
-        text = result.render("test")
+        assert all(runner.has_ground_truth(workload, 2) for workload in small_suite())
+        text = entry("fig6_nas").render(cells)
         assert "accuracy error" in text and "speedup" in text
 
-    def test_suite_cell_lookup_error(self):
-        runner = ExperimentRunner(seed=3)
-        result = figures.run_nas_suite_matrix(
-            runner, (2,), specs=paper_policies()[:1], suite=[EpWorkload(total_ops=2e7)]
-        )
+    def test_suite_cell_lookup_error(self, monkeypatch):
+        monkeypatch.setattr(artefacts, "nas_suite", lambda: [EpWorkload(total_ops=2e7)])
+        monkeypatch.setattr(artefacts, "paper_policies", lambda: paper_policies()[:1])
+        cells = entry("fig6_nas").build(ExperimentRunner(seed=3), (2,))
         with pytest.raises(KeyError):
-            result.cell("nope", 2)
+            cells["nope", 2]
 
-    def test_figure8_front_contains_extremes(self):
-        runner = ExperimentRunner(seed=3)
-        nas = figures.run_nas_suite_matrix(
-            runner, (2,), specs=paper_policies()[:3], suite=[EpWorkload(total_ops=2e7)]
-        )
-        result = figures.figure8(runner, size=2, nas=nas, namd=nas)
-        assert result.front
-        rendered = result.render()
+    def test_figure8_front_contains_extremes(self, monkeypatch):
+        monkeypatch.setattr(artefacts, "nas_suite", lambda: [EpWorkload(total_ops=2e7)])
+        monkeypatch.setattr(artefacts, "namd_workload", lambda: EpWorkload(total_ops=2e7))
+        monkeypatch.setattr(artefacts, "paper_policies", lambda: paper_policies()[:3])
+        points = entry("fig8_pareto").build(ExperimentRunner(seed=3), ())
+        assert [p.label for p in points][:3] == ["NAS 10", "NAS 100", "NAS 1k"]
+        assert pareto_front(points)
+        rendered = entry("fig8_pareto").render(points)
         assert "pareto" in rendered.lower()
 
-    def test_section6_rows(self):
+    def test_section6_rows(self, monkeypatch):
         from repro.harness.configs import ScaleoutConfig
         from repro.core.quantum import AdaptiveQuantumPolicy
 
@@ -153,43 +159,48 @@ class TestFigures:
             dyn_factory=lambda: AdaptiveQuantumPolicy(US, 100 * US),
             paper_rows={"100us": (72.7, "0.10%")},
         )
-        runner = ExperimentRunner(seed=3)
-        result = figures.section6(runner, config)
-        assert [row.label for row in result.rows] == ["100us", "dyn 1:100"]
-        assert result.row("100us").speedup > result.row("dyn 1:100").speedup * 0.1
-        assert "Section 6" in result.render()
+        monkeypatch.setattr(artefacts, "scaleout_configs", lambda: [config])
+        rows = entry("sec6_ep").build(ExperimentRunner(seed=3), ())
+        assert list(rows) == ["100us", "dyn 1:100"]
+        assert rows["100us"].speedup > rows["dyn 1:100"].speedup * 0.1
+        assert "Section 6" in entry("sec6_ep").render(rows)
 
-    def test_figure9_produces_series_and_trace(self):
+    def test_figure9_produces_series_and_trace(self, monkeypatch):
         from repro.harness.configs import ScaleoutConfig
         from repro.core.quantum import AdaptiveQuantumPolicy
 
         config = ScaleoutConfig(
-            name="PHASES",
+            name="EP",
             workload_factory=lambda: PhaseWorkload(phases=3, compute_ops=2e6),
             size=4,
             fixed_quanta=(),
             dyn_label="dyn",
             dyn_factory=lambda: AdaptiveQuantumPolicy(US, 100 * US),
         )
-        result = figures.figure9(ExperimentRunner(seed=3), config, bucket=100 * US)
-        assert result.trace.total_packets > 0
-        assert result.speedup_series
-        assert all(speedup > 0 for _, speedup in result.speedup_series)
-        assert "Figure 9" in result.render()
+        monkeypatch.setattr(artefacts, "scaleout_configs", lambda: [config])
+        data = entry("fig9a_ep").build(ExperimentRunner(seed=3), ())
+        assert data.trace.total_packets > 0
+        assert data.series
+        assert all(speedup > 0 for speedup in data.speedups)
+        assert "Figure 9" in entry("fig9a_ep").render(data)
 
 
 class TestSweep:
     def test_sweep_grid_and_bests(self):
+        """Another inc/dec grid through ablation A1's grid function."""
         runner = ExperimentRunner(seed=3)
         workload = PhaseWorkload(phases=3, compute_ops=5e6)
-        result = sweep_inc_dec(
-            runner, workload, 2, incs=(1.03, 1.30), decs=(0.02, 0.90)
-        )
-        assert len(result.points) == 4
-        best_err = result.best_by_error()
-        best_speed = result.best_by_speedup()
-        assert best_err.row.accuracy_error <= best_speed.row.accuracy_error
-        assert "sweep" in result.render()
+        specs = inc_dec_specs((1.03, 1.30), (0.02, 0.90))
+        assert [spec.label for spec in specs] == [
+            "dyn 1.03:0.02", "dyn 1.03:0.90", "dyn 1.30:0.02", "dyn 1.30:0.90",
+        ]
+        rows = runner.run_matrix(workload, (2,), specs)
+        assert len(rows) == 4
+        best_err = min(rows, key=lambda row: row.accuracy_error)
+        best_speed = max(rows, key=lambda row: row.speedup)
+        assert best_err.accuracy_error <= best_speed.accuracy_error
+        text = sweep_text({workload.name: {row.policy_label[4:]: row for row in rows}})
+        assert "inc/dec sweep" in text and "1.30:0.90" in text
 
 
 class TestReportFormatting:
@@ -266,19 +277,20 @@ class TestReportFormatting:
 
 
 class TestCli:
-    def test_cli_sweep_smoke(self, capsys):
+    def test_cli_sweep_smoke(self, capsys, monkeypatch):
         from repro.harness import cli
 
-        # The sweep command on the smallest workload the CLI exposes would
-        # still be slow; instead exercise argument plumbing via fig8's
-        # machinery being invoked through a tiny monkeypatched matrix.
-        parser_exit = cli.main(["--seed", "3", "sweep", "--workload", "EP", "--size", "2"])
+        # The ablation_incdec entry on shrunk workloads.
+        monkeypatch.setattr(artefacts, "IsWorkload", lambda: PhaseWorkload(phases=3))
+        monkeypatch.setattr(artefacts, "EpWorkload", lambda: EpWorkload(total_ops=2e7))
+        parser_exit = cli.main(["--seed", "3", "sweep", "-j", "1", "--no-cache"])
         assert parser_exit == 0
         out = capsys.readouterr().out
-        assert "inc/dec sweep" in out
+        assert "inc/dec sweep — PHASES at 8 nodes" in out
+        assert "inc/dec sweep — EP at 8 nodes" in out
 
     def test_cli_unknown_case_rejected(self):
         from repro.harness import cli
 
         with pytest.raises(SystemExit):
-            cli._scaleout("XX")
+            cli.main(["sec6", "--case", "XX"])

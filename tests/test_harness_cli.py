@@ -1,19 +1,22 @@
-"""CLI plumbing: every common flag reaches every runner a subcommand builds.
+"""CLI plumbing: every common flag reaches every runner a subcommand builds,
+and every artefact subcommand prints its entry's committed text.
 
 The runner class is replaced by a recording subclass and the paper-sized
 workloads by tiny ones, so each subcommand really runs — and every runner
-it constructs (the ones ``figure9`` derives included) is compared with the
-one :class:`RunnerSettings` the flags describe.
+it constructs (the ones an artefact entry derives included) is compared
+with the one :class:`RunnerSettings` the flags describe.
 """
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 from repro.core.quantum import AdaptiveQuantumPolicy
 from repro.engine.units import MICROSECOND, MILLISECOND
 from repro.faults.plan import load_plan
-from repro.harness import cli, figures
+from repro.harness import artefacts, cli
+from repro.harness.artefacts import ARTEFACTS
 from repro.harness.configs import ScaleoutConfig
 from repro.harness.parallel import ParallelRunner
 from repro.harness.settings import RunnerSettings
@@ -23,17 +26,43 @@ from repro.workloads import EpWorkload, IsWorkload, PhaseWorkload
 
 US = MICROSECOND
 RECOVERY = TransportConfig(recovery=RecoveryConfig())
+OUT = Path(__file__).resolve().parent.parent / "benchmarks" / "out"
 
 
-def tiny_scaleout(case: str) -> ScaleoutConfig:
-    return ScaleoutConfig(
-        name=case,
-        workload_factory=lambda: PhaseWorkload(phases=3, compute_ops=2e6),
-        size=4,
-        fixed_quanta=(100 * US,),
-        dyn_label="dyn",
-        dyn_factory=lambda: AdaptiveQuantumPolicy(US, 100 * US),
+def tiny_scaleouts() -> list[ScaleoutConfig]:
+    return [
+        ScaleoutConfig(
+            name=case,
+            workload_factory=lambda: PhaseWorkload(phases=3, compute_ops=2e6),
+            size=4,
+            fixed_quanta=(100 * US,),
+            dyn_label="dyn",
+            dyn_factory=lambda: AdaptiveQuantumPolicy(US, 100 * US),
+        )
+        for case in ("EP", "IS", "NAMD")
+    ]
+
+
+def shrink_paper_workloads(monkeypatch) -> None:
+    """Tiny stand-ins for the workloads the artefact entries run."""
+    monkeypatch.setattr(artefacts, "scaleout_configs", tiny_scaleouts)
+    monkeypatch.setattr(
+        artefacts,
+        "nas_suite",
+        lambda: [
+            EpWorkload(total_ops=2e7, chunks=4),
+            IsWorkload(total_keys=2**15, iterations=2, ops_per_key=16),
+        ],
     )
+    monkeypatch.setattr(
+        artefacts, "namd_workload", lambda: PhaseWorkload(phases=3, compute_ops=2e6)
+    )
+    monkeypatch.setattr(
+        artefacts,
+        "IsWorkload",
+        lambda: IsWorkload(total_keys=2**15, iterations=2, ops_per_key=16),
+    )
+    monkeypatch.setattr(artefacts, "EpWorkload", lambda: EpWorkload(total_ops=2e7, chunks=4))
 
 
 @pytest.fixture
@@ -47,18 +76,7 @@ def built(monkeypatch):
             runners.append(self)
 
     monkeypatch.setattr(cli, "ParallelRunner", RecordingRunner)
-    monkeypatch.setattr(cli, "_scaleout", tiny_scaleout)
-    monkeypatch.setattr(
-        figures,
-        "nas_suite",
-        lambda: [
-            EpWorkload(total_ops=2e7, chunks=4),
-            IsWorkload(total_keys=2**15, iterations=2, ops_per_key=16),
-        ],
-    )
-    monkeypatch.setattr(
-        figures, "namd_workload", lambda: PhaseWorkload(phases=3, compute_ops=2e6)
-    )
+    shrink_paper_workloads(monkeypatch)
     return runners
 
 
@@ -71,19 +89,16 @@ SUBCOMMANDS = {
     "sec6": (["--case", "EP"], [{}]),
     "fig9": (
         ["--case", "EP"],
-        [
-            {},
-            {"record_traffic": True, "timeline_bucket": MILLISECOND},
-            {"record_traffic": False, "timeline_bucket": MILLISECOND},
-        ],
+        [{}, {"record_traffic": True, "timeline_bucket": MILLISECOND // 2}],
     ),
-    "sweep": (["--workload", "EP", "--size", "2"], [{}]),
+    "sweep": ([], [{}]),
     "transport": (
-        ["--window-kib", "8"],
+        [],
         [
             {},
             {"transport": RECOVERY},
-            {"transport": dataclasses.replace(RECOVERY, window_bytes=8192)},
+            {"transport": dataclasses.replace(RECOVERY, window_bytes=65_536)},
+            {"transport": dataclasses.replace(RECOVERY, window_bytes=16_384)},
         ],
     ),
     "service": (["--size", "4", "--requests", "40"], [{}]),
@@ -136,13 +151,10 @@ def test_every_common_flag_reaches_every_runner(
     argv = [*flags, command, *own] if placement == "before" else [command, *own, *flags]
     assert cli.main(argv) == 0
     assert len(built) == len(varied)
-    for index, (runner, overrides) in enumerate(zip(built, varied)):
+    for runner, overrides in zip(built, varied):
         assert runner.settings == dataclasses.replace(expected, **overrides)
         assert runner.cache is None  # --no-cache (and traced runs never cache)
-        # The farm parameters, on the runners the CLI itself builds (the
-        # two figure9 derives do one in-process run each and carry none).
-        if not (command == "fig9" and index):
-            assert runner.max_workers == 1 and runner.progress
+        assert runner.max_workers == 1 and runner.progress  # derived ones too
     # Every runner reports its traced runs on one list, which is exported.
     traced = built[0].traced_runs
     assert all(runner.traced_runs is traced for runner in built)
@@ -156,6 +168,9 @@ def test_defaults_are_the_dataclass_defaults(built):
     assert built[0].settings == RunnerSettings()
     assert built[1].settings == RunnerSettings()  # eager: transport None
     assert built[2].settings == RunnerSettings(
+        transport=TransportConfig(window_bytes=64 * 1024)
+    )
+    assert built[3].settings == RunnerSettings(
         transport=TransportConfig(window_bytes=16 * 1024)
     )
     assert all(runner.cache is None for runner in built)
@@ -164,8 +179,31 @@ def test_defaults_are_the_dataclass_defaults(built):
 def test_cache_flags_reach_the_cache(built, tmp_path):
     root = tmp_path / "cache"
     assert cli.main(["transport", "-j", "1", "--cache-dir", str(root)]) == 0
-    assert [runner.cache.root for runner in built] == [root] * 3
+    assert [runner.cache.root for runner in built] == [root] * 4
     assert list(root.glob("*.json"))
+
+
+def test_subcommand_prints_its_committed_artefact(capsys):
+    """One list feeds the benchmark and the CLI: the same bytes."""
+    assert cli.main(["transport", "-j", "1", "--no-cache"]) == 0
+    assert capsys.readouterr().out == (OUT / "ablation_transport.txt").read_text()
+
+
+def test_one_entry_per_committed_artefact():
+    assert sorted(entry.name for entry in ARTEFACTS) == sorted(
+        path.stem for path in OUT.glob("*.txt")
+    )
+    for entry in ARTEFACTS:
+        names = [claim.name for claim in entry.claims]
+        assert len(names) == len(set(names)), entry.name
+        assert all(claim.quote.strip() for claim in entry.claims), entry.name
+    # The shape assertions the per-figure benchmark files used to make.
+    assert sum(len(entry.claims) for entry in ARTEFACTS) == 92
+
+
+def test_artefact_subcommands_come_from_the_list():
+    commands = {entry.command for entry in ARTEFACTS} - {None}
+    assert commands == set(cli._ARTEFACT_COMMANDS)
 
 
 class TestBackendIsHonoured:
