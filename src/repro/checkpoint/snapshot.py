@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -314,10 +313,7 @@ def restore_snapshot(sim: "ClusterSimulator", snapshot: SimSnapshot) -> None:
             raise RuntimeError(
                 "snapshot carries trace state but the simulator is untraced"
             )
-        collector.events = deque(
-            collector_state["events"], maxlen=collector.events.maxlen
-        )
-        collector.dropped = collector_state["dropped"]
+        collector.restore_ring(collector_state["events"], collector_state["dropped"])
         collector.counts = collector_state["counts"]
         collector.quantum_index = collector_state["quantum_index"]
         collector.straggler_packets = collector_state["straggler_packets"]

@@ -9,9 +9,11 @@ Design constraints, in order:
    hook site (the same pattern the causality sanitizer uses).
 2. **Bounded memory.**  The in-memory ring keeps the newest
    ``capacity`` events and counts what it sheds (``dropped``); per-kind
-   totals (``counts``) are exact regardless of shedding.  The optional
-   JSONL sink streams *every* event to disk, so full-fidelity traces
-   never need unbounded memory.
+   totals (``counts``) are exact regardless of shedding.  The ring is a
+   columnar :class:`~repro.obs.store.EventStore` (~30 bytes per event;
+   hooks append field values, event objects are built only on read).
+   The optional JSONL sink streams *every* event to disk, so
+   full-fidelity traces never need unbounded memory.
 3. **Farm-transportable.**  Collectors pickle across the process-pool
    boundary (:mod:`repro.harness.parallel` ships them back with each
    record); the open sink handle and any attached listeners are dropped
@@ -27,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
-from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Optional
@@ -44,6 +46,7 @@ from repro.obs.events import (
     TraceEvent,
     TransportTrace,
 )
+from repro.obs.store import EventStore, EventView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.packet import Packet
@@ -125,10 +128,8 @@ class TraceCollector:
 
     def __init__(self, config: Optional[TraceConfig] = None) -> None:
         self.config = config or TraceConfig()
-        capacity = self.config.capacity
-        self.events: deque[TraceEvent] = deque(maxlen=capacity)
-        #: Events shed from the ring once it filled (oldest-first).
-        self.dropped = 0
+        #: The ring: the newest ``capacity`` events, column by column.
+        self.store = EventStore(self.config.capacity)
         #: Exact per-kind totals, unaffected by ring shedding.
         self.counts: dict[str, int] = {}
         #: Global quantum index (event-path quanta + fast-forwarded quanta).
@@ -152,17 +153,35 @@ class TraceCollector:
         """
         self._packet_listeners.append(listener)
 
-    def _emit(self, event: TraceEvent) -> None:
-        self.counts[event.kind] = self.counts.get(event.kind, 0) + 1
+    def _emit(self, cls: type[TraceEvent], row: tuple[Any, ...]) -> None:
+        """Record one event of *cls*, given its field values in field order."""
+        kind = cls.kind
+        self.counts[kind] = self.counts.get(kind, 0) + 1
         if self._sink is None and self.config.jsonl_path is not None:
             self._sink = open(self.config.jsonl_path, "w", encoding="utf-8")
         if self._sink is not None:
-            self._sink.write(json.dumps(event.to_dict()) + "\n")
-        ring = self.events
-        if ring.maxlen != 0:
-            if len(ring) == ring.maxlen:
-                self.dropped += 1
-            ring.append(event)
+            self._sink.write(json.dumps(cls(*row).to_dict()) + "\n")
+        self.store.append(cls, row)
+
+    @property
+    def events(self) -> EventView:
+        """The ring's events in emission order (a read-only view)."""
+        return EventView(self.store)
+
+    @property
+    def dropped(self) -> int:
+        """Events shed from the ring once it filled (oldest-first)."""
+        return self.store.dropped
+
+    def restore_ring(self, events: Iterable[TraceEvent], dropped: int) -> None:
+        """Refill the ring from a snapshot's events and shed count.
+
+        Events beyond this collector's ``capacity`` are shed oldest-first
+        and counted, so ``len(self) + self.dropped`` still equals the
+        events the snapshot had counted.
+        """
+        self.store.clear(dropped)
+        self.store.extend(events)
 
     def flush(self) -> None:
         if self._sink is not None:
@@ -188,7 +207,7 @@ class TraceCollector:
 
     def quantum_begin(self, start: SimTime, end: SimTime) -> None:
         if self.config.quanta:
-            self._emit(QuantumBegin(start, end, self.quantum_index))
+            self._emit(QuantumBegin, (start, end, self.quantum_index))
 
     def quantum_end(
         self,
@@ -202,27 +221,24 @@ class TraceCollector:
     ) -> None:
         if self.config.quanta:
             self._emit(
-                QuantumEnd(
-                    time=end,
-                    start=start,
-                    index=self.quantum_index,
-                    quantum=end - start,
-                    np=np_count,
-                    decision=decision,
-                    next_quantum=next_quantum,
-                    host_cost=host_cost,
-                    host_barrier=host_barrier,
-                )
+                QuantumEnd,
+                (
+                    end,
+                    start,
+                    self.quantum_index,
+                    end - start,
+                    np_count,
+                    decision,
+                    next_quantum,
+                    host_cost,
+                    host_barrier,
+                ),
             )
         self.quantum_index += 1
 
     def barrier_wait(self, node: int, end: SimTime, host_wait: float) -> None:
         if self.config.barriers:
-            self._emit(
-                BarrierWait(
-                    time=end, index=self.quantum_index, node=node, host_wait=host_wait
-                )
-            )
+            self._emit(BarrierWait, (end, self.quantum_index, node, host_wait))
 
     def fast_forward(
         self,
@@ -234,14 +250,8 @@ class TraceCollector:
     ) -> None:
         if self.config.quanta:
             self._emit(
-                FastForward(
-                    time=start,
-                    span=span,
-                    quanta=quanta,
-                    index=self.quantum_index,
-                    host_cost=host_cost,
-                    host_barrier=host_barrier,
-                )
+                FastForward,
+                (start, span, quanta, self.quantum_index, host_cost, host_barrier),
             )
         self.quantum_index += quanta
 
@@ -259,23 +269,24 @@ class TraceCollector:
         delivered = packet.deliver_time
         assert due is not None and delivered is not None
         self._emit(
-            PacketTrace(
-                time=packet.send_time,
-                src=packet.src,
-                dst=packet.dst,
-                size_bytes=packet.size_bytes,
-                due_time=due,
-                deliver_time=delivered,
-                delivery=delivery,
-                lag=lag,
-                straggler=packet.straggler,
-                message_id=packet.message_id,
-                fragment=packet.fragment,
-                retransmit=packet.retransmit,
-                packet_kind=packet.kind,
-                packet_id=packet.packet_id,
-                index=self.quantum_index,
-            )
+            PacketTrace,
+            (
+                packet.send_time,
+                packet.src,
+                packet.dst,
+                packet.size_bytes,
+                due,
+                delivered,
+                delivery,
+                lag,
+                packet.straggler,
+                packet.message_id,
+                packet.fragment,
+                packet.retransmit,
+                packet.kind,
+                packet.packet_id,
+                self.quantum_index,
+            ),
         )
 
     def on_fault(
@@ -283,15 +294,16 @@ class TraceCollector:
     ) -> None:
         if self.config.faults:
             self._emit(
-                FaultTrace(
-                    time=packet.send_time,
-                    action=action,
-                    src=packet.src,
-                    dst=dst,
-                    message_id=packet.message_id,
-                    fragment=packet.fragment,
-                    extra_latency=extra_latency,
-                )
+                FaultTrace,
+                (
+                    packet.send_time,
+                    action,
+                    packet.src,
+                    dst,
+                    packet.message_id,
+                    packet.fragment,
+                    extra_latency,
+                ),
             )
 
     def on_request(
@@ -306,28 +318,22 @@ class TraceCollector:
         """Record one request-lifecycle edge (service-workload hook)."""
         if self.config.requests:
             self._emit(
-                RequestTrace(
-                    time=now,
-                    action=action,
-                    request_id=request_id,
-                    node=node,
-                    latency=latency,
-                    slo_miss=slo_miss,
-                )
+                RequestTrace, (now, action, request_id, node, latency, slo_miss)
             )
 
     def on_retransmit(self, node: int, frame: "Packet", now: SimTime) -> None:
         if self.config.transport:
             self._emit(
-                TransportTrace(
-                    time=now,
-                    action="retransmit",
-                    node=node,
-                    dst=frame.dst,
-                    message_id=frame.message_id,
-                    fragment=frame.fragment,
-                    retransmit=frame.retransmit,
-                )
+                TransportTrace,
+                (
+                    now,
+                    "retransmit",
+                    node,
+                    frame.dst,
+                    frame.message_id,
+                    frame.fragment,
+                    frame.retransmit,
+                ),
             )
 
     # ------------------------------------------------------------------ #
@@ -336,21 +342,21 @@ class TraceCollector:
 
     def of_kind(self, kind: str) -> list[TraceEvent]:
         """Ring events of one kind, in emission (simulation) order."""
-        return [event for event in self.events if event.kind == kind]
+        return self.store.of_kind(kind)
 
     def packet_events(self) -> list[PacketTrace]:
-        return [event for event in self.events if isinstance(event, PacketTrace)]
+        return self.store.of_kind(PacketTrace.kind)  # type: ignore[return-value]
 
     def quantum_events(self) -> list[QuantumEnd]:
-        return [event for event in self.events if isinstance(event, QuantumEnd)]
+        return self.store.of_kind(QuantumEnd.kind)  # type: ignore[return-value]
 
     def total(self, kind: str) -> int:
         """Exact number of events of *kind* emitted (ring-independent)."""
         return self.counts.get(kind, 0)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.store)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kinds = ", ".join(f"{k}={v}" for k, v in sorted(self.counts.items()))
-        return f"TraceCollector({len(self.events)} ringed, dropped={self.dropped}, {kinds})"
+        return f"TraceCollector({len(self)} ringed, dropped={self.dropped}, {kinds})"

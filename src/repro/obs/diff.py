@@ -182,12 +182,13 @@ def _packet_events(
     source: Union[TraceCollector, list[PacketTrace]],
 ) -> list[PacketTrace]:
     if isinstance(source, TraceCollector):
-        if source.dropped and source.total("packet") > len(source.packet_events()):
+        packets = source.packet_events()
+        if source.dropped and source.total("packet") > len(packets):
             raise ValueError(
                 "collector ring shed events; diff needs the full packet set — "
                 "raise TraceConfig.capacity or diff from the JSONL stream"
             )
-        return source.packet_events()
+        return packets
     return list(source)
 
 

@@ -26,6 +26,7 @@ kind                      what the paper reads off it
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
@@ -44,9 +45,15 @@ class TraceEvent:
     def to_dict(self) -> dict[str, Any]:
         """Plain-JSON form, with the event kind as a discriminator."""
         payload: dict[str, Any] = {"kind": self.kind}
-        for spec in dataclasses.fields(self):
-            payload[spec.name] = getattr(self, spec.name)
+        for name in field_names(type(self)):
+            payload[name] = getattr(self, name)
         return payload
+
+
+@functools.cache
+def field_names(cls: type[TraceEvent]) -> tuple[str, ...]:
+    """An event class's field names, in declaration order (computed once)."""
+    return tuple(spec.name for spec in dataclasses.fields(cls))
 
 
 @dataclass(frozen=True, slots=True)

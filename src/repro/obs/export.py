@@ -11,7 +11,9 @@ microseconds, as the format requires):
   marks.
 * **pid 1 — one thread per node.**  Flow arrows connect each frame's send
   (source node track) to its delivery (destination track); barrier-wait
-  and retransmission instants annotate the node that experienced them.
+  and retransmission instants annotate the node that experienced them;
+  service-request edges (issued / completed) are instants on the
+  frontend node's track.
 
 Open the file at https://ui.perfetto.dev (or ``chrome://tracing``) — drag
 it in, or use "Open trace file".
@@ -34,6 +36,7 @@ from repro.obs.events import (
     FaultTrace,
     PacketTrace,
     QuantumEnd,
+    RequestTrace,
     TraceEvent,
     TransportTrace,
 )
@@ -81,7 +84,7 @@ def _infer_num_nodes(events: list[TraceEvent]) -> int:
     for event in events:
         if isinstance(event, PacketTrace):
             highest = max(highest, event.src, event.dst)
-        elif isinstance(event, BarrierWait):
+        elif isinstance(event, (BarrierWait, RequestTrace)):
             highest = max(highest, event.node)
         elif isinstance(event, TransportTrace):
             highest = max(highest, event.node, event.dst)
@@ -139,6 +142,13 @@ def _convert(event: TraceEvent) -> list[dict[str, Any]]:
              "pid": _PID_NODES, "tid": event.node, "ts": _us(event.time),
              "args": {"dst": event.dst, "message_id": event.message_id,
                       "fragment": event.fragment, "retransmit": event.retransmit}}
+        ]
+    if isinstance(event, RequestTrace):
+        return [
+            {"name": f"request {event.action}", "cat": "request", "ph": "i", "s": "t",
+             "pid": _PID_NODES, "tid": event.node, "ts": _us(event.time),
+             "args": {"request_id": event.request_id, "latency_ns": event.latency,
+                      "slo_miss": event.slo_miss}}
         ]
     # QuantumBegin carries no information QuantumEnd lacks; skip quietly.
     return []

@@ -10,18 +10,21 @@ from repro.harness.configs import PolicySpec
 from repro.harness.experiment import ExperimentRunner
 from repro.obs.collector import TraceConfig
 from repro.obs.export import chrome_trace, quantum_csv, write_chrome_trace, write_jsonl
+from repro.service import ArrivalProfile, ServiceWorkload
 from repro.workloads import IsWorkload
 
 SEED = 7
+
+
+def _dyn():
+    return PolicySpec("dyn", lambda: AdaptiveQuantumPolicy(MICROSECOND, 1000 * MICROSECOND))
 
 
 def _record(policy_us=None, size=2):
     runner = ExperimentRunner(seed=SEED, trace=TraceConfig(), check=True)
     workload = IsWorkload(total_keys=2**15, iterations=2, ops_per_key=16)
     if policy_us is None:
-        spec = PolicySpec(
-            "dyn", lambda: AdaptiveQuantumPolicy(MICROSECOND, 1000 * MICROSECOND)
-        )
+        spec = _dyn()
     else:
         spec = PolicySpec(
             f"{policy_us}us", lambda: FixedQuantumPolicy(policy_us * MICROSECOND)
@@ -105,6 +108,30 @@ class TestChromeTrace:
         b = write_chrome_trace(record.obs, tmp_path / "b.json", num_nodes=record.size)
         assert a.read_bytes() == b.read_bytes()
         json.loads(a.read_text())  # well-formed
+
+    def test_request_edges_are_frontend_instants(self):
+        service = ServiceWorkload(profile=ArrivalProfile(num_requests=100))
+        runner = ExperimentRunner(seed=SEED, trace=TraceConfig())
+        record = runner.run_spec(service, 4, _dyn())
+        requests = record.obs.of_kind("request")
+        assert len(requests) == record.obs.total("request") == 200
+        instants = [
+            e for e in chrome_trace(record.obs)["traceEvents"] if e.get("cat") == "request"
+        ]
+        assert [(e["name"], e["tid"], e["ts"]) for e in instants] == [
+            (f"request {r.action}", r.node, r.time / 1000) for r in requests
+        ]
+        assert all(e["ph"] == "i" and e["pid"] == 1 for e in instants)
+        assert [e["args"] for e in instants] == [
+            {"request_id": r.request_id, "latency_ns": r.latency, "slo_miss": r.slo_miss}
+            for r in requests
+        ]
+        assert sum(e["name"] == "request completed" for e in instants) == 100
+        # A trace of request edges alone still gets its frontend tracks.
+        names = {
+            e["args"]["name"] for e in chrome_trace(requests)["traceEvents"] if e["ph"] == "M"
+        }
+        assert {f"node {r.node}" for r in requests} <= names
 
 
 class TestJsonlExport:
