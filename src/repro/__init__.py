@@ -45,7 +45,6 @@ from repro.core import (
     FixedQuantumPolicy,
     QuantumPolicy,
     RunResult,
-    ThresholdAdaptivePolicy,
 )
 from repro.faults import FaultPlan, LinkPartition, NodeStall, load_plan
 from repro.harness import (
@@ -90,7 +89,6 @@ __all__ = [
     "FixedQuantumPolicy",
     "AdaptiveQuantumPolicy",
     "AimdQuantumPolicy",
-    "ThresholdAdaptivePolicy",
     "BarrierModel",
     "ClusterSimulator",
     "ClusterConfig",

@@ -21,7 +21,7 @@ SIM004  Float/``SimTime`` mixing: arithmetic combining a float literal
         with a simulated-time expression outside ``engine/units.py``.
         Simulated time is integer nanoseconds *exactly* (the ground-
         truth determinism argument relies on it); quantize explicitly
-        through ``round``/``units`` helpers instead.
+        through ``round``/``int`` instead.
 SIM005  Mutable default arguments (the exact bug class of the
         ``FarmBarrierModel.layout`` fix in PR 1): the default is shared
         across calls and across *runs*, leaking state between
@@ -122,7 +122,7 @@ RULE_DOCS: dict[str, str] = {
         "Invariant: SimTime is exact integer nanoseconds (the ground-truth\n"
         "determinism argument relies on it).  Mixing a float literal into\n"
         "SimTime arithmetic silently reintroduces rounding.  Fix: quantize\n"
-        "explicitly via round()/int() or the engine.units helpers."
+        "explicitly via round() or int()."
     ),
     "SIM005": (
         "Invariant: no state leaks between runs.  A mutable default\n"
@@ -598,8 +598,7 @@ class _Visitor(ast.NodeVisitor):
                         node,
                         f"float literal {literal.value!r} mixed into SimTime "
                         f"arithmetic with {_terminal_name(other)!r}; SimTime is "
-                        "exact integer nanoseconds — quantize via round() or "
-                        "the units helpers",
+                        "exact integer nanoseconds — quantize via round() or int()",
                     )
                     break
         self.generic_visit(node)

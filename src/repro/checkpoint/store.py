@@ -1,11 +1,10 @@
 """Crash-safe on-disk snapshot store.
 
-One file per run label under a directory, written with the same
-discipline as :class:`~repro.harness.parallel.DiskResultCache` (plus the
-fsync the cache was missing until this layer existed): temp file in the
-same directory, ``flush`` + ``fsync``, then an atomic ``os.replace``.  A
-SIGKILL at any instant leaves either the previous complete snapshot or
-the new complete snapshot — never a truncated file.
+One file per run label under a directory, written by :func:`write_atomic`,
+which :class:`~repro.harness.parallel.DiskResultCache` uses too: temp file
+in the same directory, ``flush`` + ``fsync``, then an atomic
+``os.replace``.  A SIGKILL at any instant leaves either the previous
+complete snapshot or the new complete snapshot — never a truncated file.
 
 File format: one JSON header line (version, payload SHA-256, sim time,
 quanta, configuration key) followed by the raw pickle payload bytes.
@@ -26,6 +25,35 @@ from repro.checkpoint.snapshot import SNAPSHOT_VERSION, SimSnapshot
 
 #: Snapshot file suffix.
 SUFFIX = ".ckpt"
+
+
+def write_atomic(path: Path, body: bytes) -> None:
+    """Replace *path* with *body* all at once.
+
+    Write + fsync + atomic rename: a crash (or SIGKILL) at any instant
+    leaves either the old file or the complete new one, never a torn file.
+    The temp name is per-PID, so concurrent writers never collide; any
+    failure (a full disk at ``fsync``, say) removes the temp file and
+    re-raises.
+    """
+    tmp = path.with_suffix(f".tmp.{os.getpid()}")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(body)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def quarantine(path: Path) -> None:
+    """Move an unreadable file aside to ``.corrupt`` (best-effort, never raises)."""
+    try:
+        os.replace(path, path.with_suffix(".corrupt"))
+    except OSError:
+        pass
 
 
 class CheckpointStore:
@@ -49,12 +77,7 @@ class CheckpointStore:
             "key": key,
         }
         body = json.dumps(header, sort_keys=True).encode() + b"\n" + snapshot.payload
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "wb") as handle:
-            handle.write(body)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)  # atomic: a kill leaves old or new, never half
+        write_atomic(path, body)
         return path
 
     def load(self, label: str, expect_key: Optional[str] = None) -> Optional[SimSnapshot]:
@@ -88,16 +111,8 @@ class CheckpointStore:
             if snapshot.digest != header["sha256"]:
                 raise ValueError("snapshot payload checksum mismatch")
         except (ValueError, KeyError, TypeError):
-            self._quarantine(path)
+            quarantine(path)
             return None
         if expect_key is not None and header.get("key") != expect_key:
             return None
         return snapshot
-
-    @staticmethod
-    def _quarantine(path: Path) -> None:
-        """Move an unreadable snapshot aside (best-effort, never raises)."""
-        try:
-            os.replace(path, path.with_suffix(".corrupt"))
-        except OSError:
-            pass

@@ -5,7 +5,8 @@ This subpackage contains
 * the quantum policies — :class:`~repro.core.quantum.FixedQuantumPolicy`
   (classic lock-step conservative PDES, the paper's baselines) and
   :class:`~repro.core.quantum.AdaptiveQuantumPolicy` (the paper's
-  Algorithm 1, "driving over speed bumps"), plus ablation variants,
+  Algorithm 1, "driving over speed bumps"), plus the AIMD ablation
+  :class:`~repro.core.quantum.AimdQuantumPolicy`,
 * the barrier cost model (:mod:`repro.core.barrier`),
 * the co-simulation driver :class:`~repro.core.cluster.ClusterSimulator`
   which interleaves the per-node simulators in host time, applies the
@@ -19,7 +20,6 @@ This subpackage contains
 """
 
 from repro.core.barrier import BarrierModel
-from repro.core.farm import FarmBarrierModel, FarmLayout
 from repro.core.baselines import (
     SyncCostEstimate,
     free_running,
@@ -40,7 +40,6 @@ from repro.core.quantum import (
     FixedQuantumPolicy,
     QuantumPolicy,
     QuantumStats,
-    ThresholdAdaptivePolicy,
 )
 from repro.core.stats import BucketTimeline, HostCostBreakdown
 
@@ -49,11 +48,8 @@ __all__ = [
     "FixedQuantumPolicy",
     "AdaptiveQuantumPolicy",
     "AimdQuantumPolicy",
-    "ThresholdAdaptivePolicy",
     "QuantumStats",
     "BarrierModel",
-    "FarmBarrierModel",
-    "FarmLayout",
     "ClusterSimulator",
     "ClusterConfig",
     "RunResult",

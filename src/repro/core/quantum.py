@@ -110,7 +110,8 @@ class QuantumPolicy(ABC):
         valid (the first window does not fit or limits are zero).
 
         The default implementation iterates :meth:`next`; subclasses with
-        simple idle dynamics may vectorise.
+        simple idle dynamics may vectorise, and tier-1 holds each closed
+        form to this reference.
         """
         lengths = []
         remaining = span
@@ -176,16 +177,6 @@ class AdaptiveQuantumPolicy(QuantumPolicy):
             raise ValueError("dec must be in (0, 1)")
         self.inc = inc
         self.dec = dec
-
-    @classmethod
-    def paper_dyn1(cls, min_quantum: SimTime, max_quantum: SimTime) -> "AdaptiveQuantumPolicy":
-        """The paper's 'dyn 1' configuration: 3% acceleration, 0.02 decrease."""
-        return cls(min_quantum, max_quantum, inc=1.03, dec=0.02)
-
-    @classmethod
-    def paper_dyn2(cls, min_quantum: SimTime, max_quantum: SimTime) -> "AdaptiveQuantumPolicy":
-        """The paper's 'dyn 2' configuration: 5% acceleration, 0.02 decrease."""
-        return cls(min_quantum, max_quantum, inc=1.05, dec=0.02)
 
     def initial(self) -> float:
         # "The network controller controls the dynamic quantum duration,
@@ -290,49 +281,3 @@ class AimdQuantumPolicy(QuantumPolicy):
         from repro.engine.units import format_time
 
         return f"aimd +{format_time(self.step)}:{self.dec:.2f}"
-
-
-class ThresholdAdaptivePolicy(AdaptiveQuantumPolicy):
-    """Ablation: tolerate up to *threshold* packets before shrinking.
-
-    Algorithm 1 shrinks on *any* traffic (np > 0).  This variant treats
-    sparse background traffic (np <= threshold) as silence, probing whether
-    the paper's strict rule is overly conservative.
-    """
-
-    def __init__(
-        self,
-        min_quantum: SimTime,
-        max_quantum: SimTime,
-        inc: float = 1.03,
-        dec: float = 0.02,
-        threshold: int = 2,
-    ) -> None:
-        super().__init__(min_quantum, max_quantum, inc=inc, dec=dec)
-        if threshold < 1:
-            raise ValueError("threshold must be at least 1")
-        self.threshold = threshold
-
-    def next(self, quantum: float, np_count: int) -> float:
-        if np_count <= self.threshold:
-            return self.clamp(quantum * self.inc)
-        return self.clamp(quantum * self.dec)
-
-    def describe(self) -> str:
-        return super().describe() + f" thr={self.threshold}"
-
-
-def suggested_dec(max_quantum_over_min: float, quanta_to_floor: int = 2) -> float:
-    """The paper's guidance for the decrease factor.
-
-    "Setting dec to a value near 1/sqrt(max_Q) or 1/cbrt(max_Q) forces a
-    dramatic reduction of the quantum duration in just two or three quanta
-    at most."  *max_quantum_over_min* is the dynamic range (max_Q/min_Q in
-    the paper's units where min_Q = 1); *quanta_to_floor* of 2 gives the
-    square root, 3 the cube root.
-    """
-    if max_quantum_over_min <= 1:
-        raise ValueError("dynamic range must exceed 1")
-    if quanta_to_floor < 1:
-        raise ValueError("quanta_to_floor must be positive")
-    return max_quantum_over_min ** (-1.0 / quanta_to_floor)

@@ -21,10 +21,6 @@ from repro.engine.units import (
     NANOSECOND,
     SECOND,
     format_time,
-    microseconds,
-    milliseconds,
-    nanoseconds,
-    seconds,
 )
 
 __all__ = [
@@ -37,9 +33,5 @@ __all__ = [
     "MICROSECOND",
     "MILLISECOND",
     "SECOND",
-    "nanoseconds",
-    "microseconds",
-    "milliseconds",
-    "seconds",
     "format_time",
 ]

@@ -22,36 +22,6 @@ MILLISECOND: SimTime = 1_000_000
 SECOND: SimTime = 1_000_000_000
 
 
-def nanoseconds(value: float) -> SimTime:
-    """Convert a value in nanoseconds to integer simulated time."""
-    return round(value)
-
-
-def microseconds(value: float) -> SimTime:
-    """Convert a value in microseconds to integer simulated time."""
-    return round(value * MICROSECOND)
-
-
-def milliseconds(value: float) -> SimTime:
-    """Convert a value in milliseconds to integer simulated time."""
-    return round(value * MILLISECOND)
-
-
-def seconds(value: float) -> SimTime:
-    """Convert a value in seconds to integer simulated time."""
-    return round(value * SECOND)
-
-
-def to_seconds(time: SimTime) -> float:
-    """Convert integer simulated time to float seconds (for reporting)."""
-    return time / SECOND
-
-
-def to_microseconds(time: SimTime) -> float:
-    """Convert integer simulated time to float microseconds (for reporting)."""
-    return time / MICROSECOND
-
-
 def format_time(time: SimTime) -> str:
     """Render a simulated time with a human-appropriate unit.
 

@@ -131,16 +131,6 @@ class FaultPlan:
 
     # -- classification ------------------------------------------------- #
 
-    def is_null(self) -> bool:
-        """True when the plan injects nothing at all."""
-        return (
-            self.drop_rate == 0.0
-            and self.duplicate_rate == 0.0
-            and self.jitter_rate == 0.0
-            and not self.partitions
-            and not self.stalls
-        )
-
     def requires_recovery(self) -> bool:
         """True when the plan needs the reliable transport on every node.
 

@@ -56,6 +56,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from repro.checkpoint.store import quarantine, write_atomic
 from repro.core.cluster import RunResult
 from repro.core.quantum import QuantumPolicy, QuantumStats
 from repro.core.stats import HostCostBreakdown
@@ -235,7 +236,7 @@ class DiskResultCache:
             if not isinstance(entry, dict):
                 raise ValueError("cache entry is not a JSON object")
         except ValueError:
-            self._quarantine(path)
+            quarantine(path)
             self.misses += 1
             return None
         if entry.get("cache_version") != CACHE_VERSION or entry.get("key") != expected:
@@ -244,19 +245,11 @@ class DiskResultCache:
         try:
             record = record_from_json(entry["record"])
         except (ValueError, KeyError, TypeError):
-            self._quarantine(path)
+            quarantine(path)
             self.misses += 1
             return None
         self.hits += 1
         return record
-
-    @staticmethod
-    def _quarantine(path: Path) -> None:
-        """Move an unreadable entry aside (best-effort, never raises)."""
-        try:
-            os.replace(path, path.with_suffix(".corrupt"))
-        except OSError:
-            pass
 
     def put(self, payload: dict, record: ExperimentRecord) -> bool:
         """Store *record*; returns False when it cannot be serialized."""
@@ -271,17 +264,7 @@ class DiskResultCache:
             return False
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            path = self._path(payload)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            # write + fsync + atomic rename: a crash (or SIGKILL) at any
-            # instant leaves either the old entry or the complete new one,
-            # never a torn file — the temp name is per-PID, so concurrent
-            # workers never collide either.
-            with open(tmp, "w") as handle:
-                handle.write(body)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
+            write_atomic(self._path(payload), body.encode())
         except OSError:
             return False  # unwritable cache root: the run still succeeds
         return True

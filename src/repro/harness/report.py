@@ -6,7 +6,6 @@ import unicodedata
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.cluster import RunResult
     from repro.service.metrics import ServiceStats
 
 
@@ -65,48 +64,6 @@ def times(value: float, digits: int = 1) -> str:
 
 def microseconds(value_ns: float, digits: int = 1) -> str:
     return f"{value_ns / 1000:.{digits}f}us"
-
-
-def fault_report(results: Iterable[tuple[str, "RunResult"]]) -> str:
-    """Table of injected-fault and transport-recovery counters per run.
-
-    Accepts ``(label, result)`` pairs; runs without fault or recovery
-    statistics render as dashes.  Returns an empty string when *no* run
-    carries either block, so callers can append it unconditionally.
-    """
-    rows = []
-    relevant = False
-    for label, result in results:
-        faults = result.fault_stats
-        transports = result.transport_stats
-        if faults is not None or transports is not None:
-            relevant = True
-        if faults is not None:
-            fault_cells = [
-                faults.total_drops,
-                faults.frames_duplicated,
-                faults.frames_delayed,
-                faults.stall_quanta,
-            ]
-        else:
-            fault_cells = ["-"] * 4
-        if transports is not None:
-            recovery_cells = [
-                sum(t.retransmits for t in transports),
-                sum(t.spurious_retransmits for t in transports),
-                sum(t.duplicates_dropped for t in transports),
-            ]
-        else:
-            recovery_cells = ["-"] * 3
-        rows.append([label, *fault_cells, *recovery_cells])
-    if not relevant:
-        return ""
-    return format_table(
-        ["run", "drops", "dup", "delayed", "stall-q",
-         "retransmits", "spurious", "dup-dropped"],
-        rows,
-        "Fault injection and transport recovery",
-    )
 
 
 def service_report(results: Iterable[tuple[str, "ServiceStats"]]) -> str:

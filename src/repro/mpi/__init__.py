@@ -12,34 +12,23 @@ a sub-generator that ultimately yields the node primitives of
         parts = yield from mpi.alltoall(nbytes=4096, values=my_rows)
 
 Collectives implement the classic distributed algorithms (dissemination
-barrier, binomial broadcast/reduce, recursive-doubling allreduce, pairwise-
-exchange all-to-all, ring allgather), so their *message patterns* — counts,
-sizes, dependency chains — match what the paper's applications put on the
-wire.  The all-to-all chains in particular are what make NAS-IS the paper's
-accuracy worst case.
+barrier, recursive-doubling allreduce, pairwise-exchange all-to-all), so
+their *message patterns* — counts, sizes, dependency chains — match what
+the paper's applications put on the wire.  The all-to-all chains in
+particular are what make NAS-IS the paper's accuracy worst case.
 """
 
 from repro.mpi.api import MpiRank, spmd_apps
 from repro.mpi.collectives import (
-    allgather,
     allreduce,
     alltoall,
     barrier,
-    bcast,
-    gather,
-    reduce,
-    scatter,
 )
 
 __all__ = [
     "MpiRank",
     "spmd_apps",
     "barrier",
-    "bcast",
-    "reduce",
     "allreduce",
     "alltoall",
-    "allgather",
-    "gather",
-    "scatter",
 ]

@@ -79,28 +79,6 @@ class MpiRank:
         message = yield Recv(src=src, tag=tag)
         return message
 
-    def sendrecv(
-        self,
-        peer: int,
-        nbytes: int,
-        tag: int = 0,
-        payload: Any = None,
-        recv_src: Optional[int] = None,
-        recv_tag: Optional[int] = None,
-    ) -> Generator[Request, Any, Message]:
-        """Combined exchange: eager send to *peer*, then blocking receive.
-
-        Safe against head-to-head exchanges because sends are eager (they
-        never wait for the receiver), matching MPI_Sendrecv usage in the
-        pairwise-exchange collectives.
-        """
-        yield from self.send(peer, nbytes, tag, payload)
-        message = yield from self.recv(
-            src=peer if recv_src is None else recv_src,
-            tag=tag if recv_tag is None else recv_tag,
-        )
-        return message
-
     # ------------------------------------------------------------------ #
     # Collectives (delegating to repro.mpi.collectives)
     # ------------------------------------------------------------------ #
@@ -109,18 +87,6 @@ class MpiRank:
         from repro.mpi import collectives
 
         return collectives.barrier(self)
-
-    def bcast(self, root: int, nbytes: int, value: Any = None) -> Generator[Request, Any, Any]:
-        from repro.mpi import collectives
-
-        return collectives.bcast(self, root, nbytes, value)
-
-    def reduce(
-        self, root: int, nbytes: int, value: Any, op: Callable[[Any, Any], Any]
-    ) -> Generator[Request, Any, Any]:
-        from repro.mpi import collectives
-
-        return collectives.reduce(self, root, nbytes, value, op)
 
     def allreduce(
         self, nbytes: int, value: Any, op: Callable[[Any, Any], Any]
@@ -135,23 +101,6 @@ class MpiRank:
         from repro.mpi import collectives
 
         return collectives.alltoall(self, nbytes, values)
-
-    def allgather(self, nbytes: int, value: Any = None) -> Generator[Request, Any, list[Any]]:
-        from repro.mpi import collectives
-
-        return collectives.allgather(self, nbytes, value)
-
-    def gather(self, root: int, nbytes: int, value: Any = None) -> Generator[Request, Any, Optional[list[Any]]]:
-        from repro.mpi import collectives
-
-        return collectives.gather(self, root, nbytes, value)
-
-    def scatter(
-        self, root: int, nbytes: int, values: Optional[list[Any]] = None
-    ) -> Generator[Request, Any, Any]:
-        from repro.mpi import collectives
-
-        return collectives.scatter(self, root, nbytes, values)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MpiRank({self.rank}/{self.size})"

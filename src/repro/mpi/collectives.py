@@ -7,14 +7,10 @@ so the *wire patterns* match what the paper's benchmarks generate:
 Collective     Algorithm                              Messages (size N)
 =============  =====================================  ====================
 barrier        dissemination                          N * ceil(log2 N)
-bcast          binomial tree                          N - 1
-reduce         binomial tree (reversed)               N - 1
 allreduce      recursive doubling (power-of-two N),   N * log2 N
-               else reduce + bcast                    2 (N - 1)
+               else binomial reduce to rank 0 +       2 (N - 1)
+               binomial broadcast from rank 0
 alltoall       pairwise exchange                      N (N - 1)
-allgather      ring                                   N (N - 1)
-gather         linear fan-in                          N - 1
-scatter        linear fan-out                         N - 1
 =============  =====================================  ====================
 
 All functions are generators; values are carried in message payloads so the
@@ -60,56 +56,41 @@ def barrier(mpi: "_api.MpiRank") -> Generator[Request, Any, None]:
         step += 1
 
 
-def bcast(
-    mpi: "_api.MpiRank", root: int, nbytes: int, value: Any = None
+def _bcast_from_zero(
+    mpi: "_api.MpiRank", nbytes: int, value: Any
 ) -> Generator[Request, Any, Any]:
-    """Binomial-tree broadcast; returns the root's value on every rank."""
+    """Binomial-tree broadcast from rank 0; returns rank 0's value on every rank."""
     base = mpi._next_collective_tags()
     size, rank = mpi.size, mpi.rank
-    if not 0 <= root < size:
-        raise ValueError(f"root {root} out of range")
-    relative = (rank - root) % size
     mask = 1
     while mask < size:
-        if relative & mask:
-            src = (relative - mask + root) % size
-            message = yield from _recv(src, base)
+        if rank & mask:
+            message = yield from _recv(rank - mask, base)
             value = message.payload
             break
         mask <<= 1
     mask >>= 1
     while mask > 0:
-        if relative + mask < size:
-            dst = (relative + mask + root) % size
-            yield from _send(dst, nbytes, base, value)
+        if rank + mask < size:
+            yield from _send(rank + mask, nbytes, base, value)
         mask >>= 1
     return value
 
 
-def reduce(
-    mpi: "_api.MpiRank",
-    root: int,
-    nbytes: int,
-    value: Any,
-    op: Callable[[Any, Any], Any],
+def _reduce_to_zero(
+    mpi: "_api.MpiRank", nbytes: int, value: Any, op: Callable[[Any, Any], Any]
 ) -> Generator[Request, Any, Any]:
-    """Binomial-tree reduction; the root returns the combined value."""
+    """Binomial-tree reduction; rank 0 returns the combined value, the rest None."""
     base = mpi._next_collective_tags()
     size, rank = mpi.size, mpi.rank
-    if not 0 <= root < size:
-        raise ValueError(f"root {root} out of range")
-    relative = (rank - root) % size
     accumulator = value
     mask = 1
     while mask < size:
-        if relative & mask:
-            dst = (relative - mask + root) % size
-            yield from _send(dst, nbytes, base, accumulator)
+        if rank & mask:
+            yield from _send(rank - mask, nbytes, base, accumulator)
             return None
-        partner = relative | mask
-        if partner < size:
-            src = (partner + root) % size
-            message = yield from _recv(src, base)
+        if rank | mask < size:
+            message = yield from _recv(rank | mask, base)
             accumulator = op(accumulator, message.payload)
         mask <<= 1
     return accumulator
@@ -121,11 +102,12 @@ def allreduce(
     value: Any,
     op: Callable[[Any, Any], Any],
 ) -> Generator[Request, Any, Any]:
-    """Recursive-doubling allreduce (falls back to reduce+bcast for odd N)."""
+    """Recursive-doubling allreduce (reduce + broadcast through rank 0 when N
+    is not a power of two)."""
     size, rank = mpi.size, mpi.rank
     if not _is_power_of_two(size):
-        partial = yield from reduce(mpi, 0, nbytes, value, op)
-        total = yield from bcast(mpi, 0, nbytes, partial)
+        partial = yield from _reduce_to_zero(mpi, nbytes, value, op)
+        total = yield from _bcast_from_zero(mpi, nbytes, partial)
         return total
     base = mpi._next_collective_tags()
     accumulator = value
@@ -170,67 +152,3 @@ def alltoall(
         message = yield from _recv(recv_from, base + step)
         result[recv_from] = message.payload
     return result
-
-
-def allgather(
-    mpi: "_api.MpiRank", nbytes: int, value: Any = None
-) -> Generator[Request, Any, list[Any]]:
-    """Ring allgather: N-1 neighbour steps, each forwarding the newest piece."""
-    base = mpi._next_collective_tags()
-    size, rank = mpi.size, mpi.rank
-    result: list[Any] = [None] * size
-    result[rank] = value
-    carried: tuple[int, Any] = (rank, value)
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-    for step in range(size - 1):
-        yield from _send(right, nbytes, base + step, carried)
-        message = yield from _recv(left, base + step)
-        carried = message.payload
-        origin, piece = carried
-        result[origin] = piece
-    return result
-
-
-def gather(
-    mpi: "_api.MpiRank", root: int, nbytes: int, value: Any = None
-) -> Generator[Request, Any, Optional[list[Any]]]:
-    """Linear fan-in gather; the root returns values in rank order."""
-    base = mpi._next_collective_tags()
-    size, rank = mpi.size, mpi.rank
-    if not 0 <= root < size:
-        raise ValueError(f"root {root} out of range")
-    if rank != root:
-        yield from _send(root, nbytes, base, value)
-        return None
-    result: list[Any] = [None] * size
-    result[root] = value
-    for src in range(size):
-        if src == root:
-            continue
-        message = yield from _recv(src, base)
-        result[src] = message.payload
-    return result
-
-
-def scatter(
-    mpi: "_api.MpiRank",
-    root: int,
-    nbytes: int,
-    values: Optional[list[Any]] = None,
-) -> Generator[Request, Any, Any]:
-    """Linear fan-out scatter; each rank returns its slice of the root's list."""
-    base = mpi._next_collective_tags()
-    size, rank = mpi.size, mpi.rank
-    if not 0 <= root < size:
-        raise ValueError(f"root {root} out of range")
-    if rank == root:
-        if values is None or len(values) != size:
-            raise ValueError(f"root must supply one value per rank ({size})")
-        for dst in range(size):
-            if dst == root:
-                continue
-            yield from _send(dst, nbytes, base, values[dst])
-        return values[root]
-    message = yield from _recv(root, base)
-    return message.payload

@@ -8,8 +8,8 @@ subpackage provides
 * the :class:`~repro.network.packet.Packet` wire unit (jumbo Ethernet frames),
 * latency models combining NIC serialisation, NIC minimum latency, and
   switch/topology latency (:mod:`repro.network.latency`),
-* topologies from the paper's perfect star switch to multi-stage fabrics
-  (:mod:`repro.network.topology`), and
+* the paper's perfect star switch and the :class:`Topology` interface
+  other fabrics implement (:mod:`repro.network.topology`), and
 * the :class:`~repro.network.controller.NetworkController` itself, which
   routes packets, holds packets due in future quanta, implements the
   straggler delivery policy of Figure 3, and counts per-quantum traffic for
@@ -24,12 +24,9 @@ from repro.network.latency import (
     PAPER_NETWORK,
 )
 from repro.network.packet import BROADCAST, JUMBO_FRAME_BYTES, Packet
-from repro.network.queueing import OutputQueuedSwitchModel
 from repro.network.topology import (
-    FullyConnectedTopology,
     StarTopology,
     Topology,
-    TwoLevelTreeTopology,
 )
 
 __all__ = [
@@ -39,12 +36,9 @@ __all__ = [
     "LatencyModel",
     "NicSwitchLatencyModel",
     "UniformLatencyModel",
-    "OutputQueuedSwitchModel",
     "PAPER_NETWORK",
     "Topology",
     "StarTopology",
-    "FullyConnectedTopology",
-    "TwoLevelTreeTopology",
     "NetworkController",
     "DeliveryDecision",
     "DeliveryKind",

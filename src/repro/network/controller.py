@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Protocol
 
 from repro.engine.units import SimTime
 from repro.network.latency import LatencyModel, NicSwitchLatencyModel, UniformLatencyModel
-from repro.network.topology import FullyConnectedTopology, StarTopology
+from repro.network.topology import StarTopology
 from repro.network.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - the sanitizer imports this module
@@ -143,7 +143,7 @@ class NetworkController:
         #: None for custom or subclassed models, which are never cached.
         pure = type(latency_model) is UniformLatencyModel or (
             type(latency_model) is NicSwitchLatencyModel
-            and type(latency_model.topology) in (StarTopology, FullyConnectedTopology)
+            and type(latency_model.topology) is StarTopology
         )
         self._latency_memo: Optional[dict[int, SimTime]] = {} if pure else None
 

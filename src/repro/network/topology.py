@@ -1,11 +1,9 @@
 """Network topologies: per-pair switch latency and hop counts.
 
 The paper models "a perfect switch with infinite bandwidth and zero latency"
-— the :class:`StarTopology` with zero per-hop cost.  Since the controller is
-the natural place to model "any kind of network/switch/router topology"
-(Section 3), we also provide a two-level tree (racks of nodes under a core
-switch, as a 64-node scale-out cluster would physically be wired) and a
-fully-connected point-to-point fabric, both used by the ablation benchmarks.
+— the :class:`StarTopology` with zero per-hop cost.  The controller is the
+natural place to model "any kind of network/switch/router topology"
+(Section 3); another fabric is a :class:`Topology` subclass.
 
 A topology answers two questions about an (src, dst) pair:
 ``hops`` — how many store-and-forward stages a frame crosses, and
@@ -15,7 +13,6 @@ A topology answers two questions about an (src, dst) pair:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
 
 from repro.engine.units import SimTime
 
@@ -27,7 +24,6 @@ class Topology(ABC):
         if num_nodes < 2:
             raise ValueError(f"a cluster needs at least 2 nodes, got {num_nodes}")
         self.num_nodes = num_nodes
-        self._min_extra_latency: Optional[SimTime] = None
 
     def validate_pair(self, src: int, dst: int) -> None:
         for node in (src, dst):
@@ -44,34 +40,14 @@ class Topology(ABC):
     def extra_latency(self, src: int, dst: int) -> SimTime:
         """Fixed path latency added by the fabric (beyond the NICs)."""
 
+    @abstractmethod
     def min_extra_latency(self) -> SimTime:
-        """Lower bound of :meth:`extra_latency` over all pairs (cached).
+        """Lower bound of :meth:`extra_latency` over all pairs.
 
         The conservative quantum bound `Q <= T` uses the *minimum* network
         latency, and callers re-derive it per run (the sanitizer, the
-        farm's cache-key calibration probe), so the O(n^2) scan is
-        memoized after the first call.  Topologies are immutable once
-        constructed; subclasses with uniform paths may override with a
-        closed form.
+        farm's cache-key calibration probe), so it must be cheap.
         """
-        cached = self._min_extra_latency
-        if cached is None:
-            cached = self.scan_min_extra_latency()
-            self._min_extra_latency = cached
-        return cached
-
-    def scan_min_extra_latency(self) -> SimTime:
-        """Uncached brute-force O(n^2) reference scan over all pairs.
-
-        Kept separate from :meth:`min_extra_latency` so tests can check
-        any cached or closed-form value against the exhaustive answer.
-        """
-        return min(
-            self.extra_latency(src, dst)
-            for src in range(self.num_nodes)
-            for dst in range(self.num_nodes)
-            if src != dst
-        )
 
 
 class StarTopology(Topology):
@@ -96,66 +72,3 @@ class StarTopology(Topology):
 
     def min_extra_latency(self) -> SimTime:
         return self.switch_latency
-
-
-class FullyConnectedTopology(Topology):
-    """Direct point-to-point links between every pair (no switch)."""
-
-    def __init__(self, num_nodes: int, link_latency: SimTime = 0) -> None:
-        super().__init__(num_nodes)
-        if link_latency < 0:
-            raise ValueError("link latency must be non-negative")
-        self.link_latency = link_latency
-
-    def hops(self, src: int, dst: int) -> int:
-        self.validate_pair(src, dst)
-        return 0
-
-    def extra_latency(self, src: int, dst: int) -> SimTime:
-        self.validate_pair(src, dst)
-        return self.link_latency
-
-    def min_extra_latency(self) -> SimTime:
-        return self.link_latency
-
-
-class TwoLevelTreeTopology(Topology):
-    """Racks of nodes under edge switches joined by a core switch.
-
-    Intra-rack frames traverse one switch; inter-rack frames traverse
-    edge -> core -> edge (three switch stages).  Models the physical wiring
-    of a scale-out cluster such as the paper's 64-node blade farm.
-    """
-
-    def __init__(
-        self,
-        num_nodes: int,
-        rack_size: int,
-        edge_latency: SimTime,
-        core_latency: SimTime,
-    ) -> None:
-        super().__init__(num_nodes)
-        if rack_size < 1:
-            raise ValueError("rack size must be at least 1")
-        if edge_latency < 0 or core_latency < 0:
-            raise ValueError("switch latencies must be non-negative")
-        self.rack_size = rack_size
-        self.edge_latency = edge_latency
-        self.core_latency = core_latency
-
-    def rack_of(self, node: int) -> int:
-        return node // self.rack_size
-
-    def hops(self, src: int, dst: int) -> int:
-        self.validate_pair(src, dst)
-        return 1 if self.rack_of(src) == self.rack_of(dst) else 3
-
-    def extra_latency(self, src: int, dst: int) -> SimTime:
-        self.validate_pair(src, dst)
-        if self.rack_of(src) == self.rack_of(dst):
-            return self.edge_latency
-        return 2 * self.edge_latency + self.core_latency
-
-    # min_extra_latency: the base class's cached scan covers the rack
-    # edge cases (single rack, one-node racks) exactly; a hand-rolled
-    # closed form here would just duplicate that logic.

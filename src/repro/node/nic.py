@@ -44,10 +44,6 @@ class Message:
         """Extra latency this message suffered from straggler handling."""
         return self.arrived_at - self.ideal_arrival
 
-    @property
-    def latency(self) -> SimTime:
-        return self.arrived_at - self.sent_at
-
 
 @dataclass(slots=True)
 class _Reassembly:

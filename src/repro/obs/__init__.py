@@ -6,7 +6,7 @@ captures typed, sim-time-stamped events — quantum decisions, barrier
 waits, packet lifecycles with straggler lag, fault verdicts, transport
 retransmissions — with a bounded ring buffer and an optional streaming
 JSONL sink.  Exporters render Chrome trace-event JSON (open it in
-Perfetto) and per-quantum CSV; :func:`diff_traces` aligns an adaptive run
+Perfetto) and JSONL; :func:`diff_traces` aligns an adaptive run
 against its Q <= T ground truth by packet identity and attributes the
 timing error (the paper's Section 5 claim) frame by frame and phase by
 phase.
@@ -31,7 +31,6 @@ from repro.obs.events import (
 )
 from repro.obs.export import (
     chrome_trace,
-    quantum_csv,
     write_chrome_trace,
     write_jsonl,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "write_jsonl",
-    "quantum_csv",
     "diff_traces",
     "TraceDiff",
     "PacketLag",

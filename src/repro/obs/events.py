@@ -65,10 +65,6 @@ class QuantumBegin(TraceEvent):
 
     kind: ClassVar[str] = "quantum-begin"
 
-    @property
-    def quantum(self) -> SimTime:
-        return self.end - self.time
-
 
 @dataclass(frozen=True, slots=True)
 class QuantumEnd(TraceEvent):

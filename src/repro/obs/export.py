@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace-event JSON (Perfetto-openable) and metrics CSV.
+"""Exporters: Chrome trace-event JSON (Perfetto-openable) and JSONL.
 
 The Chrome trace lays the run out on simulated time (``ts`` in
 microseconds, as the format requires):
@@ -24,7 +24,6 @@ collected events, so exporting the same run twice yields identical bytes.
 
 from __future__ import annotations
 
-import io
 import json
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -246,25 +245,3 @@ def write_jsonl(
         for event in _events_of(source):
             sink.write(json.dumps(event.to_dict()) + "\n")
     return target
-
-
-def quantum_csv(source: Union[TraceCollector, list[TraceEvent]]) -> str:
-    """Per-quantum metrics CSV (fast-forwarded spans as aggregate rows)."""
-    buffer = io.StringIO()
-    buffer.write(
-        "index,start_ns,end_ns,quantum_ns,np,decision,host_cost_s,host_barrier_s\n"
-    )
-    for event in _events_of(source):
-        if isinstance(event, QuantumEnd):
-            buffer.write(
-                f"{event.index},{event.start},{event.time},{event.quantum},"
-                f"{event.np},{event.decision},{event.host_cost!r},"
-                f"{event.host_barrier!r}\n"
-            )
-        elif isinstance(event, FastForward):
-            buffer.write(
-                f"{event.index},{event.time},{event.time + event.span},"
-                f"{event.span},0,fast-forward:{event.quanta},"
-                f"{event.host_cost!r},{event.host_barrier!r}\n"
-            )
-    return buffer.getvalue()

@@ -70,7 +70,7 @@ def service_stats(
 
     Safe on an empty sample: percentiles, mean, and max all report 0 and
     the miss rate is 0 — the rendering contract the harness report relies
-    on (`fault_report`-style: always printable, never a division error).
+    on (always printable, never a division error).
     """
     completed = len(latencies_ns)
     percentiles = nearest_rank_percentiles(latencies_ns, tuple(points))

@@ -21,17 +21,15 @@ actually interacts with:
   position/force traffic.  The paper's speed worst case.
 
 Beyond the paper's batch applications, :mod:`repro.service` adds an
-open-loop request-serving family (:class:`~repro.service.ServiceWorkload`,
-re-exported here) whose metric is a client-observed latency percentile —
-the workload shape datacenter-simulation users care about.
+open-loop request-serving family (:class:`~repro.service.ServiceWorkload`)
+whose metric is a client-observed latency percentile — the workload shape
+datacenter-simulation users care about.
 
 Default constructor parameters are scaled so a ground-truth (1 us quantum)
 run finishes in tens of simulated milliseconds — the structures, message
 size ratios and compute/communication ratios are preserved, the absolute
 durations are not (see DESIGN.md, substitutions table).
 """
-
-from typing import TYPE_CHECKING, Any
 
 from repro.workloads.base import NasWorkload, Workload, harmonic_mean
 from repro.workloads.namd import NamdWorkload
@@ -42,20 +40,7 @@ from repro.workloads.nas_lu import LuWorkload
 from repro.workloads.nas_mg import MgWorkload
 from repro.workloads.synthetic import PhaseWorkload, PingPongWorkload, StreamWorkload
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.service.workload import ServiceWorkload
-
 NAS_SUITE = (EpWorkload, IsWorkload, CgWorkload, MgWorkload, LuWorkload)
-
-
-def __getattr__(name: str) -> Any:
-    # Lazy re-export: repro.service.workload subclasses Workload from this
-    # package, so an eager import here would be circular.
-    if name == "ServiceWorkload":
-        from repro.service.workload import ServiceWorkload
-
-        return ServiceWorkload
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Workload",
@@ -67,7 +52,6 @@ __all__ = [
     "MgWorkload",
     "LuWorkload",
     "NamdWorkload",
-    "ServiceWorkload",
     "PhaseWorkload",
     "PingPongWorkload",
     "StreamWorkload",

@@ -102,9 +102,6 @@ class Workload(ABC):
         """
         return None
 
-    def describe(self) -> str:
-        return self.name
-
 
 class NasWorkload(Workload):
     """Common machinery for the NAS kernels: MOPS from a fixed op budget.

@@ -67,7 +67,8 @@ class PhaseWorkload(Workload):
         elif self.pattern == "pairs":
             partner = mpi.rank ^ 1
             if partner < mpi.size:
-                yield from mpi.sendrecv(partner, self.message_bytes, tag=12)
+                yield from mpi.send(partner, self.message_bytes, tag=12)
+                yield from mpi.recv(src=partner, tag=12)
         else:  # allreduce
             yield from mpi.allreduce(self.message_bytes, 1.0, lambda a, b: a + b)
 

@@ -6,10 +6,13 @@ disk — never a torn one — and anything that does end up unreadable is
 quarantined, never silently trusted.
 """
 
+import errno
 import json
 import os
 import signal
 import time
+
+import pytest
 
 from repro.checkpoint import SNAPSHOT_VERSION, SimSnapshot, CheckpointStore
 from repro.checkpoint.store import SUFFIX
@@ -162,3 +165,46 @@ class TestKillDuringWrite:
             assert not list(tmp_path.glob("*.corrupt"))
 
         _kill_mid_write(tmp_path, lambda: cache.put(payload, record), verify)
+
+
+class TestFailedWriteLeavesNoTempFile:
+    """A write that fails part-way (``fsync`` on a full disk) removes its
+    temp file and leaves the previous complete file in place, on both
+    stores."""
+
+    @staticmethod
+    def _disk_full(monkeypatch):
+        def fsync(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", fsync)
+
+    def test_snapshot_save_raises_and_cleans_up(self, tmp_path, monkeypatch):
+        store = CheckpointStore(tmp_path)
+        store.save("run", make_snapshot(b"a", sim_time=1), key="k")
+        self._disk_full(monkeypatch)
+        with pytest.raises(OSError) as raised:
+            store.save("run", make_snapshot(b"b", sim_time=2), key="k")
+        assert raised.value.errno == errno.ENOSPC
+        assert [p.name for p in tmp_path.iterdir()] == [f"run{SUFFIX}"]
+        monkeypatch.undo()
+        assert store.load("run", expect_key="k").sim_time == 1
+
+    def test_cache_put_returns_false_and_cleans_up(self, tmp_path, monkeypatch):
+        from repro.core import FixedQuantumPolicy
+        from repro.engine.units import MICROSECOND
+        from repro.harness.experiment import ExperimentRunner
+        from repro.workloads import PingPongWorkload
+
+        record = ExperimentRunner(seed=3).run(
+            PingPongWorkload(), 2, FixedQuantumPolicy(10 * MICROSECOND)
+        )
+        cache = DiskResultCache(tmp_path)
+        payload = {"cache_version": CACHE_VERSION, "probe": "disk-full"}
+        assert cache.put(payload, record)
+        (entry,) = tmp_path.iterdir()
+        self._disk_full(monkeypatch)
+        assert not cache.put(payload, record)
+        assert list(tmp_path.iterdir()) == [entry]
+        monkeypatch.undo()
+        assert DiskResultCache(tmp_path).get(payload).metric == record.metric

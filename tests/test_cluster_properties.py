@@ -41,7 +41,7 @@ _op = st.one_of(
     st.tuples(st.just("allreduce"), st.integers(min_value=8, max_value=4096)),
     st.tuples(st.just("alltoall"), st.integers(min_value=8, max_value=20_000)),
     st.tuples(st.just("ring"), st.integers(min_value=8, max_value=20_000)),
-    st.tuples(st.just("bcast"), st.integers(min_value=8, max_value=20_000)),
+    st.tuples(st.just("fanout"), st.integers(min_value=8, max_value=20_000)),
 )
 
 program_schedules = st.lists(_op, min_size=1, max_size=5)
@@ -74,8 +74,12 @@ def make_program(schedule):
                 left = (mpi.rank - 1) % mpi.size
                 yield from mpi.send(right, arg, tag=5)
                 yield from mpi.recv(src=left, tag=5)
-            elif op == "bcast":
-                yield from mpi.bcast(0, arg, value="v" if mpi.rank == 0 else None)
+            elif op == "fanout":
+                if mpi.rank == 0:
+                    for dst in range(1, mpi.size):
+                        yield from mpi.send(dst, arg, tag=6)
+                else:
+                    yield from mpi.recv(src=0, tag=6)
         return "done"
 
     return program

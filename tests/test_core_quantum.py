@@ -11,10 +11,9 @@ from repro.core import (
     BucketTimeline,
     FixedQuantumPolicy,
     HostCostBreakdown,
+    QuantumPolicy,
     QuantumStats,
-    ThresholdAdaptivePolicy,
 )
-from repro.core.quantum import suggested_dec
 from repro.engine.units import MICROSECOND
 
 
@@ -71,12 +70,6 @@ class TestAdaptivePolicy:
         policy = self.make()
         assert policy.next(float(US), 100) == US
 
-    def test_paper_configurations(self):
-        dyn1 = AdaptiveQuantumPolicy.paper_dyn1(US, 1000 * US)
-        dyn2 = AdaptiveQuantumPolicy.paper_dyn2(US, 1000 * US)
-        assert dyn1.inc == 1.03 and dyn2.inc == 1.05
-        assert dyn1.dec == dyn2.dec == 0.02
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             AdaptiveQuantumPolicy(US, 1000 * US, inc=1.0)
@@ -108,18 +101,8 @@ class TestAdaptivePolicy:
         """The vectorised idle path must equal iterating Algorithm 1."""
         policy = self.make()
         lengths, final_state = policy.idle_chunk(q0, span, max_windows)
-
-        expected = []
-        state = q0
-        remaining = span
-        while len(expected) < max_windows:
-            window = policy.window(state)
-            if window > remaining:
-                break
-            expected.append(window)
-            remaining -= window
-            state = policy.next(state, 0)
-        assert list(lengths) == expected
+        expected, state = QuantumPolicy.idle_chunk(policy, q0, span, max_windows)
+        assert list(lengths) == list(expected)
         assert final_state == pytest.approx(state, rel=1e-9)
 
     def test_idle_chunk_empty_when_window_does_not_fit(self):
@@ -138,45 +121,59 @@ class TestAblationPolicies:
     def test_aimd_idle_chunk_matches_iteration(self):
         policy = AimdQuantumPolicy(US, 1000 * US, step=777)
         lengths, final_state = policy.idle_chunk(1_000.0, span=100_000, max_windows=50)
-        state, expected, remaining = 1_000.0, [], 100_000
-        while len(expected) < 50:
-            window = policy.window(state)
-            if window > remaining:
-                break
-            expected.append(window)
-            remaining -= window
-            state = policy.next(state, 0)
-        assert list(lengths) == expected
+        expected, state = QuantumPolicy.idle_chunk(policy, 1_000.0, 100_000, 50)
+        assert list(lengths) == list(expected)
         assert final_state == pytest.approx(state)
-
-    def test_threshold_tolerates_sparse_traffic(self):
-        policy = ThresholdAdaptivePolicy(US, 1000 * US, threshold=2)
-        assert policy.next(10_000.0, 2) > 10_000.0
-        assert policy.next(10_000.0, 3) < 10_000.0
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             AimdQuantumPolicy(US, 1000 * US, step=0)
-        with pytest.raises(ValueError):
-            ThresholdAdaptivePolicy(US, 1000 * US, threshold=0)
 
 
-class TestSuggestedDec:
-    def test_square_root_rule(self):
-        assert suggested_dec(1000, 2) == pytest.approx(1 / np.sqrt(1000))
+def _policies():
+    """A Fixed, Adaptive or AIMD policy and a quantum state it can be in."""
+    low = st.integers(min_value=1, max_value=20_000)
+    fixed = low.map(lambda q: (FixedQuantumPolicy(q), float(q)))
+    ranged = st.tuples(low, st.integers(min_value=1, max_value=2_000))
+    adaptive = st.builds(
+        lambda bounds, inc, dec: AdaptiveQuantumPolicy(
+            bounds[0], bounds[0] * bounds[1], inc=inc, dec=dec
+        ),
+        ranged,
+        st.floats(min_value=1.001, max_value=3.0),
+        st.floats(min_value=0.01, max_value=0.99),
+    )
+    aimd = st.builds(
+        lambda bounds, step: AimdQuantumPolicy(bounds[0], bounds[0] * bounds[1], step=step),
+        ranged,
+        st.integers(min_value=1, max_value=50_000),
+    )
+    in_range = st.one_of(adaptive, aimd).flatmap(
+        lambda policy: st.tuples(
+            st.just(policy),
+            st.floats(min_value=float(policy.min_quantum), max_value=float(policy.max_quantum)),
+        )
+    )
+    return st.one_of(fixed, in_range)
 
-    def test_cube_root_rule(self):
-        assert suggested_dec(1000, 3) == pytest.approx(1000 ** (-1 / 3))
 
-    def test_paper_value_is_near_002(self):
-        # dec = 0.02 "is very close to 1/sqrt(1000)" (paper Section 5).
-        assert suggested_dec(1000, 2) == pytest.approx(0.0316, abs=0.001)
+class TestIdleChunkClosedForms:
+    """Each policy's closed-form ``idle_chunk`` against the base class's
+    reference, which iterates :meth:`QuantumPolicy.next` window by window."""
 
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            suggested_dec(1)
-        with pytest.raises(ValueError):
-            suggested_dec(100, 0)
+    @settings(max_examples=300)
+    @given(
+        _policies(),
+        st.integers(min_value=0, max_value=5_000_000),
+        st.integers(min_value=0, max_value=200),
+    )
+    def test_matches_the_iterating_reference(self, drawn, span, max_windows):
+        policy, state = drawn
+        lengths, final_state = policy.idle_chunk(state, span, max_windows)
+        expected, expected_state = QuantumPolicy.idle_chunk(policy, state, span, max_windows)
+        assert lengths.dtype == expected.dtype == np.int64
+        assert lengths.tolist() == expected.tolist()
+        assert final_state == pytest.approx(expected_state, rel=1e-12, abs=0)
 
 
 class TestBarrierModel:

@@ -488,12 +488,3 @@ class TestReporting:
         payload = record_to_json(record)
         assert "fault_stats" not in payload["result"]
         assert "transport_stats" not in payload["result"]
-
-    def test_fault_report_table(self):
-        from repro.harness.report import fault_report
-
-        faulted = run(small_is(), 4, PRESETS["lossy-5"], transport=RECOVERY)
-        clean = run(small_is(), 4, None)
-        text = fault_report([("lossy", faulted), ("clean", clean)])
-        assert "lossy" in text and "retransmits" in text
-        assert fault_report([("clean", clean)]) == ""

@@ -247,34 +247,6 @@ class TestReportFormatting:
         assert times(2.5) == "2.5x"
         assert microseconds(1500) == "1.5us"
 
-    def test_fault_report_empty_without_stats(self):
-        from repro.harness.report import fault_report
-
-        class _Result:
-            fault_stats = None
-            transport_stats = None
-
-        assert fault_report([("run-a", _Result()), ("run-b", _Result())]) == ""
-        assert fault_report([]) == ""
-
-    def test_fault_report_renders_zero_fault_runs(self):
-        from repro.faults.injector import FaultStats
-        from repro.harness.report import fault_report
-
-        class _Result:
-            # A fault plan was configured but never fired: the stats block
-            # exists with all-zero counters and must render as zeros, not
-            # dashes (dashes mean "no injector at all").
-            fault_stats = FaultStats()
-            transport_stats = None
-
-        text = fault_report([("quiet", _Result())])
-        assert "Fault injection and transport recovery" in text
-        row = text.splitlines()[-1]
-        assert row.startswith("quiet")
-        assert row.split()[1:5] == ["0", "0", "0", "0"]
-        assert row.split()[5:] == ["-", "-", "-"]
-
 
 class TestCli:
     def test_cli_sweep_smoke(self, capsys, monkeypatch):

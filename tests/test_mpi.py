@@ -154,18 +154,6 @@ class TestPointToPoint:
         run_spmd(size, program)
         assert received == {r: f"from{(r - 1) % size}" for r in range(size)}
 
-    def test_sendrecv_head_to_head(self):
-        outcome = {}
-
-        def program(mpi):
-            peer = 1 - mpi.rank
-            message = yield from mpi.sendrecv(peer, 64, tag=3, payload=mpi.rank)
-            outcome[mpi.rank] = message.payload
-
-        run_spmd(2, program)
-        assert outcome == {0: 1, 1: 0}
-
-
 class TestCollectiveSemantics:
     @pytest.mark.parametrize("size", [2, 4, 8, 3, 5])
     def test_allreduce_sum(self, size):
@@ -180,31 +168,6 @@ class TestCollectiveSemantics:
         expected = sum((r + 1) ** 2 for r in range(size))
         assert results == {r: expected for r in range(size)}
 
-    @pytest.mark.parametrize("size", [2, 4, 3])
-    def test_bcast_from_each_root(self, size):
-        for root in range(size):
-            results = {}
-
-            def program(mpi, root=root):
-                value = f"payload-{root}" if mpi.rank == root else None
-                got = yield from mpi.bcast(root, 256, value)
-                results[mpi.rank] = got
-
-            run_spmd(size, program)
-            assert results == {r: f"payload-{root}" for r in range(size)}
-
-    @pytest.mark.parametrize("size", [2, 4, 5])
-    def test_reduce_max_at_root(self, size):
-        results = {}
-
-        def program(mpi):
-            got = yield from mpi.reduce(0, 8, mpi.rank * 10, max)
-            results[mpi.rank] = got
-
-        run_spmd(size, program)
-        assert results[0] == (size - 1) * 10
-        assert all(results[r] is None for r in range(1, size))
-
     @pytest.mark.parametrize("size", [2, 4, 8, 6])
     def test_alltoall_permutation(self, size):
         results = {}
@@ -218,33 +181,6 @@ class TestCollectiveSemantics:
         for rank in range(size):
             assert results[rank] == [(src, rank) for src in range(size)]
 
-    @pytest.mark.parametrize("size", [2, 4, 5])
-    def test_allgather_collects_in_rank_order(self, size):
-        results = {}
-
-        def program(mpi):
-            got = yield from mpi.allgather(64, value=mpi.rank * 3)
-            results[mpi.rank] = got
-
-        run_spmd(size, program)
-        assert results == {r: [x * 3 for x in range(size)] for r in range(size)}
-
-    @pytest.mark.parametrize("size", [2, 4, 5])
-    def test_gather_and_scatter(self, size):
-        gathered = {}
-        scattered = {}
-
-        def program(mpi):
-            got = yield from mpi.gather(0, 64, value=mpi.rank + 100)
-            gathered[mpi.rank] = got
-            values = [f"slice{i}" for i in range(mpi.size)] if mpi.rank == 0 else None
-            mine = yield from mpi.scatter(0, 64, values)
-            scattered[mpi.rank] = mine
-
-        run_spmd(size, program)
-        assert gathered[0] == [r + 100 for r in range(size)]
-        assert scattered == {r: f"slice{r}" for r in range(size)}
-
     def test_barrier_completes(self):
         def program(mpi):
             for _ in range(3):
@@ -252,22 +188,10 @@ class TestCollectiveSemantics:
 
         run_spmd(4, program)
 
-    def test_root_validation(self):
-        mpi = MpiRank(0, 4)
-        for op in (mpi.bcast(7, 10), mpi.reduce(-1, 10, 0, max), mpi.gather(9, 10)):
-            with pytest.raises(ValueError):
-                list(op)
-
     def test_alltoall_value_length_checked(self):
         mpi = MpiRank(0, 4)
         with pytest.raises(ValueError):
             list(mpi.alltoall(10, values=[1, 2]))
-
-    def test_scatter_requires_values_at_root(self):
-        mpi = MpiRank(0, 4)
-        with pytest.raises(ValueError):
-            list(mpi.scatter(0, 10, values=None))
-
 
 class TestMessageCounts:
     """Wire-pattern checks: message counts match the documented algorithms."""
@@ -278,13 +202,6 @@ class TestMessageCounts:
             yield from mpi.barrier()
 
         assert count_sends(size, program) == size * math.ceil(math.log2(size))
-
-    @pytest.mark.parametrize("size", [2, 4, 8, 5])
-    def test_bcast_messages(self, size):
-        def program(mpi):
-            yield from mpi.bcast(0, 10, "x")
-
-        assert count_sends(size, program) == size - 1
 
     @pytest.mark.parametrize("size", [2, 4, 8])
     def test_allreduce_messages_power_of_two(self, size):
@@ -304,12 +221,5 @@ class TestMessageCounts:
     def test_alltoall_messages(self, size):
         def program(mpi):
             yield from mpi.alltoall(10)
-
-        assert count_sends(size, program) == size * (size - 1)
-
-    @pytest.mark.parametrize("size", [2, 5])
-    def test_allgather_messages(self, size):
-        def program(mpi):
-            yield from mpi.allgather(10, 1)
 
         assert count_sends(size, program) == size * (size - 1)

@@ -7,12 +7,10 @@ from repro.engine.units import MICROSECOND
 from repro.network import (
     BROADCAST,
     JUMBO_FRAME_BYTES,
-    FullyConnectedTopology,
     NicSwitchLatencyModel,
     Packet,
     PAPER_NETWORK,
     StarTopology,
-    TwoLevelTreeTopology,
     UniformLatencyModel,
 )
 from repro.network.packet import FRAME_HEADER_BYTES, frames_for_message
@@ -98,23 +96,6 @@ class TestTopologies:
         assert topo.hops(0, 7) == 1
         assert topo.min_extra_latency() == 50
 
-    def test_full_mesh_no_hops(self):
-        topo = FullyConnectedTopology(4, link_latency=10)
-        assert topo.hops(1, 2) == 0
-        assert topo.extra_latency(1, 2) == 10
-
-    def test_two_level_tree_intra_vs_inter(self):
-        topo = TwoLevelTreeTopology(8, rack_size=4, edge_latency=100, core_latency=300)
-        assert topo.extra_latency(0, 3) == 100
-        assert topo.extra_latency(0, 4) == 500
-        assert topo.hops(0, 3) == 1
-        assert topo.hops(0, 4) == 3
-        assert topo.min_extra_latency() == 100
-
-    def test_two_level_tree_single_node_racks(self):
-        topo = TwoLevelTreeTopology(4, rack_size=1, edge_latency=100, core_latency=300)
-        assert topo.min_extra_latency() == 500
-
     def test_pair_validation(self):
         topo = StarTopology(4)
         with pytest.raises(ValueError):
@@ -155,11 +136,10 @@ class TestLatencyModels:
         assert slow.serialization(9000) == 10 * fast.serialization(9000)
 
     def test_topology_latency_added(self):
-        topo = TwoLevelTreeTopology(8, rack_size=4, edge_latency=100, core_latency=300)
-        model = NicSwitchLatencyModel(topo, nic_min_latency=1000)
-        near = Packet(src=0, dst=1, size_bytes=66, send_time=0)
-        far = Packet(src=0, dst=5, size_bytes=66, send_time=0)
-        assert model.latency(far, 5) - model.latency(near, 1) == 400
+        flat = NicSwitchLatencyModel(StarTopology(8), nic_min_latency=1000)
+        switched = NicSwitchLatencyModel(StarTopology(8, switch_latency=400), nic_min_latency=1000)
+        packet = Packet(src=0, dst=5, size_bytes=66, send_time=0)
+        assert switched.latency(packet, 5) - flat.latency(packet, 5) == 400
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,10 @@
-"""Topology latency structure: closed forms, the cached minimum scan."""
+"""Topology latency structure: the closed-form minimum against a pair scan."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.network.topology import (
-    FullyConnectedTopology,
-    StarTopology,
-    TwoLevelTreeTopology,
-)
+from repro.network.topology import StarTopology
 
 
 class TestMinExtraLatencyAgainstBruteForce:
@@ -18,69 +14,9 @@ class TestMinExtraLatencyAgainstBruteForce:
     @pytest.mark.parametrize("switch_latency", [0, 500])
     def test_star(self, num_nodes, switch_latency):
         topo = StarTopology(num_nodes, switch_latency=switch_latency)
-        assert topo.min_extra_latency() == topo.scan_min_extra_latency()
-
-    @pytest.mark.parametrize("num_nodes", [2, 5])
-    @pytest.mark.parametrize("link_latency", [0, 120])
-    def test_fully_connected(self, num_nodes, link_latency):
-        topo = FullyConnectedTopology(num_nodes, link_latency=link_latency)
-        assert topo.min_extra_latency() == topo.scan_min_extra_latency()
-
-    @pytest.mark.parametrize(
-        "num_nodes,rack_size",
-        [
-            (8, 4),   # several multi-node racks
-            (8, 8),   # single rack: no inter-rack paths exist
-            (6, 8),   # rack larger than the cluster
-            (4, 1),   # one-node racks: no intra-rack paths exist
-            (7, 3),   # ragged final rack
-            (2, 1),
-        ],
-    )
-    @pytest.mark.parametrize("edge,core", [(100, 50), (100, 2_000), (0, 0)])
-    def test_two_level_tree(self, num_nodes, rack_size, edge, core):
-        topo = TwoLevelTreeTopology(
-            num_nodes, rack_size=rack_size, edge_latency=edge, core_latency=core
+        assert topo.min_extra_latency() == min(
+            topo.extra_latency(src, dst)
+            for src in range(num_nodes)
+            for dst in range(num_nodes)
+            if src != dst
         )
-        assert topo.min_extra_latency() == topo.scan_min_extra_latency()
-
-
-class _CountingTree(TwoLevelTreeTopology):
-    """Instrumented topology counting per-pair latency queries."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.calls = 0
-
-    def extra_latency(self, src: int, dst: int):
-        self.calls = self.calls + 1
-        return super().extra_latency(src, dst)
-
-
-class TestMinExtraLatencyCache:
-    def test_scan_runs_once(self):
-        topo = _CountingTree(8, rack_size=4, edge_latency=100, core_latency=50)
-        first = topo.min_extra_latency()
-        scanned = topo.calls
-        assert scanned == 8 * 7  # the full O(n^2) pair scan
-        second = topo.min_extra_latency()
-        assert second == first
-        assert topo.calls == scanned  # cached: no further pair queries
-
-    def test_scan_helper_is_uncached(self):
-        topo = _CountingTree(4, rack_size=2, edge_latency=10, core_latency=5)
-        topo.scan_min_extra_latency()
-        topo.scan_min_extra_latency()
-        assert topo.calls == 2 * 4 * 3
-
-    def test_closed_form_overrides_skip_the_scan(self):
-        class _CountingStar(StarTopology):
-            calls = 0
-
-            def extra_latency(self, src: int, dst: int):
-                type(self).calls += 1
-                return super().extra_latency(src, dst)
-
-        topo = _CountingStar(16, switch_latency=7)
-        assert topo.min_extra_latency() == 7
-        assert _CountingStar.calls == 0

@@ -9,7 +9,7 @@ from repro.engine.units import MICROSECOND
 from repro.harness.configs import PolicySpec
 from repro.harness.experiment import ExperimentRunner
 from repro.obs.collector import TraceConfig
-from repro.obs.export import chrome_trace, quantum_csv, write_chrome_trace, write_jsonl
+from repro.obs.export import chrome_trace, write_chrome_trace, write_jsonl
 from repro.service import ArrivalProfile, ServiceWorkload
 from repro.workloads import IsWorkload
 
@@ -142,27 +142,3 @@ class TestJsonlExport:
         assert len(lines) == len(record.obs)
         kinds = [json.loads(line)["kind"] for line in lines]
         assert kinds == [event.kind for event in record.obs.events]
-
-
-class TestQuantumCsv:
-    def test_shape_and_accounting(self):
-        record = _record()
-        csv = quantum_csv(record.obs)
-        lines = csv.splitlines()
-        assert lines[0] == (
-            "index,start_ns,end_ns,quantum_ns,np,decision,"
-            "host_cost_s,host_barrier_s"
-        )
-        rows = [line.split(",") for line in lines[1:]]
-        assert rows
-        covered = 0
-        for row in rows:
-            assert len(row) == 8
-            start, end, quantum = int(row[1]), int(row[2]), int(row[3])
-            assert end - start == quantum > 0
-            if row[5].startswith("fast-forward:"):
-                covered += int(row[5].split(":")[1])
-            else:
-                covered += 1
-                assert row[5] in {"grow", "shrink", "hold", "final"}
-        assert covered == record.result.quantum_stats.quanta

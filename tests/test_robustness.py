@@ -1,4 +1,4 @@
-"""Cross-cutting robustness checks: odd sizes, topologies, doctests."""
+"""Cross-cutting robustness checks: odd sizes, transport windows, doctests."""
 
 import doctest
 
@@ -6,11 +6,7 @@ import pytest
 
 from repro.core import ClusterConfig, ClusterSimulator, FixedQuantumPolicy
 from repro.engine.units import MICROSECOND
-from repro.network import (
-    NetworkController,
-    NicSwitchLatencyModel,
-    TwoLevelTreeTopology,
-)
+from repro.network import NetworkController
 from repro.node import SimulatedNode
 from repro.node.transport import TransportConfig
 from repro.workloads import (
@@ -34,14 +30,14 @@ SMALL = {
 }
 
 
-def run(workload, size, latency=None, transport=None, seed=6):
+def run(workload, size, transport=None, seed=6):
     nodes = [
         SimulatedNode(i, app, transport=transport)
         for i, app in enumerate(workload.build_apps(size))
     ]
     from repro.network import PAPER_NETWORK
 
-    controller = NetworkController(size, latency or PAPER_NETWORK(size))
+    controller = NetworkController(size, PAPER_NETWORK(size))
     sim = ClusterSimulator(
         nodes, controller, FixedQuantumPolicy(US), ClusterConfig(seed=seed)
     )
@@ -57,24 +53,6 @@ class TestOddClusterSizes:
         result = run(SMALL[name](), size)
         assert result.completed
         assert result.controller_stats.stragglers == 0
-
-
-class TestNonTrivialTopology:
-    def test_is_over_two_level_tree(self):
-        topology = TwoLevelTreeTopology(6, rack_size=3, edge_latency=200, core_latency=600)
-        latency = NicSwitchLatencyModel(topology)
-        result = run(SMALL["IS"](), 6, latency=latency)
-        assert result.completed
-        # Q = 1us is still below the topology's minimum latency.
-        assert result.controller_stats.stragglers == 0
-
-    def test_tree_latency_visible_in_makespan(self):
-        flat = run(SMALL["LU"](), 6)
-        topology = TwoLevelTreeTopology(
-            6, rack_size=3, edge_latency=50_000, core_latency=100_000
-        )
-        slow = run(SMALL["LU"](), 6, latency=NicSwitchLatencyModel(topology))
-        assert slow.makespan > flat.makespan
 
 
 class TestTransportConservation:
