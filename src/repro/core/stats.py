@@ -54,20 +54,12 @@ class BucketTimeline:
             and self._buckets == other._buckets
         )
 
-    def add(self, sim_time: SimTime, host_cost: float) -> None:
-        """Charge *host_cost* to the bucket containing *sim_time*."""
-        if host_cost < 0:
-            raise ValueError("host cost must be non-negative")
-        index = sim_time // self.bucket_width
-        self._buckets[index] = self._buckets.get(index, 0.0) + host_cost
-
     def add_span(self, start: SimTime, end: SimTime, host_cost: float) -> None:
-        """Distribute *host_cost* proportionally over [start, end)."""
-        if end <= start:
-            self.add(start, host_cost)
-            return
+        """Distribute *host_cost* proportionally over [start, end); an empty
+        span charges it all to the bucket containing *start*."""
         if host_cost < 0:
             raise ValueError("host cost must be non-negative")
+        end = max(end, start + 1)
         span = end - start
         first = start // self.bucket_width
         last = (end - 1) // self.bucket_width
@@ -101,10 +93,3 @@ class BucketTimeline:
             rate = cost / bucket_seconds
             series.append((start, baseline_host_per_sim_second / rate))
         return series
-
-    @property
-    def total_host_time(self) -> float:
-        return sum(self._buckets.values())
-
-    def __len__(self) -> int:
-        return len(self._buckets)

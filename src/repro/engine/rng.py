@@ -50,15 +50,6 @@ class RngStreams:
             self._cache[name] = generator
         return generator
 
-    def fresh(self, name: str) -> np.random.Generator:
-        """Return a *new* generator for *name*, restarting its sequence.
-
-        Used by tests to verify stream independence; simulation code should
-        prefer :meth:`stream`.
-        """
-        sequence = np.random.SeedSequence([self.root_seed, _name_key(name)])
-        return np.random.Generator(np.random.PCG64(sequence))
-
     def spawn(self, name: str, index: int) -> np.random.Generator:
         """Return the generator for an indexed family member, e.g. per node."""
         return self.stream(f"{name}[{index}]")

@@ -10,6 +10,7 @@ speedup against the ground-truth run.
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -19,7 +20,7 @@ from repro.core.cluster import ClusterConfig, ClusterSimulator, RunResult
 from repro.core.quantum import QuantumPolicy
 from repro.engine.units import format_time
 from repro.harness.configs import PolicySpec, ground_truth_policy
-from repro.harness.settings import RunnerSettings
+from repro.harness.settings import RunnerSettings, Uncacheable, _describe_component
 from repro.harness.supervise import ProgressWatchdog, retry_transient
 from repro.metrics.traffic import TrafficTrace
 from repro.network.controller import NetworkController
@@ -76,6 +77,17 @@ class ComparisonRow:
         )
 
 
+def _truth_key(workload: Workload, size: int) -> tuple[object, int]:
+    """Which ground truth serves *workload* at *size*: the workload's class
+    and parameters, as the result cache keys it (two instances that share
+    a name but not their parameters need different truths), or the
+    instance itself when its parameters cannot be described."""
+    try:
+        return json.dumps(_describe_component(workload), sort_keys=True), size
+    except Uncacheable:
+        return workload, size
+
+
 class ExperimentRunner:
     """Builds and runs cluster simulations with consistent methodology."""
 
@@ -98,7 +110,7 @@ class ExperimentRunner:
         #: CLI exports/diffs these after the artefact entries, which
         #: return rendered rows rather than records).
         self.traced_runs: list[ExperimentRecord] = []
-        self._ground_truth: dict[tuple[str, int], ExperimentRecord] = {}
+        self._ground_truth: dict[tuple[object, int], ExperimentRecord] = {}
 
     def derive(self, **knobs) -> "ExperimentRunner":
         """A runner of this kind with *knobs* applied over these settings.
@@ -308,7 +320,7 @@ class ExperimentRunner:
 
     def has_ground_truth(self, workload: Workload, size: int) -> bool:
         """True when the (workload, size) reference run is already cached."""
-        return (workload.name, size) in self._ground_truth
+        return _truth_key(workload, size) in self._ground_truth
 
     def adopt_ground_truth(
         self, workload: Workload, record: ExperimentRecord
@@ -326,12 +338,12 @@ class ExperimentRunner:
                 f"{stats.stragglers} stragglers; the quantum must not "
                 f"exceed the minimum network latency"
             )
-        self._ground_truth[(workload.name, record.size)] = record
+        self._ground_truth[_truth_key(workload, record.size)] = record
         return record
 
     def ground_truth(self, workload: Workload, size: int) -> ExperimentRecord:
         """The 1 us-quantum reference run, cached per (workload, size)."""
-        record = self._ground_truth.get((workload.name, size))
+        record = self._ground_truth.get(_truth_key(workload, size))
         if record is None:
             record = self.adopt_ground_truth(
                 workload, self.run_spec(workload, size, ground_truth_policy())

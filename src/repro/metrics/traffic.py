@@ -16,7 +16,6 @@ and full structured tracing share one controller code path.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 from repro.engine.units import SimTime, format_time
@@ -64,12 +63,6 @@ class TrafficTrace:
             self.samples = self.samples[::2]
             self._stride *= 2
             self._countdown = self._stride
-
-    @property
-    def sampled_fraction(self) -> float:
-        if self.total_packets == 0:
-            return 1.0
-        return len(self.samples) / self.total_packets
 
     def time_span(self) -> tuple[SimTime, SimTime]:
         if not self.samples:
@@ -128,11 +121,3 @@ class TrafficTrace:
             f"{format_time(start)}..{format_time(end)}"
         )
         return "\n".join([header] + lines)
-
-    def to_csv(self) -> str:
-        """Sampled trace as CSV (time_ns, src, dst, size_bytes)."""
-        buffer = io.StringIO()
-        buffer.write("time_ns,src,dst,size_bytes\n")
-        for sample in self.samples:
-            buffer.write(f"{sample.time},{sample.src},{sample.dst},{sample.size}\n")
-        return buffer.getvalue()

@@ -104,12 +104,6 @@ class ControllerStats:
             return 0.0
         return self.stragglers / self.packets_routed
 
-    def mean_delay_error(self) -> float:
-        """Mean extra delay per routed frame, in simulated nanoseconds."""
-        if self.packets_routed == 0:
-            return 0.0
-        return self.total_delay_error / self.packets_routed
-
 
 class NetworkController:
     """Functional + timing switch with the quantum-aware delivery policy."""

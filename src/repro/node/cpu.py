@@ -36,11 +36,5 @@ class CpuModel:
         time = round(ops / self.ops_per_second * SECOND)
         return max(time, 1)
 
-    def ops_for_time(self, duration: SimTime) -> float:
-        """Instructions retired in *duration* of busy simulated time."""
-        if duration < 0:
-            raise ValueError("duration must be non-negative")
-        return duration / SECOND * self.ops_per_second
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CpuModel({self.frequency_hz/1e9:.2f}GHz, ipc={self.ipc})"

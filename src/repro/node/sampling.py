@@ -70,11 +70,6 @@ class SamplingSchedule:
     def detail_window(self) -> SimTime:
         return max(1, round(self.period * self.detail_fraction))
 
-    def mean_busy_slowdown(self, detailed_slowdown: float) -> float:
-        """Long-run average busy slowdown under this schedule."""
-        f = self.detail_fraction
-        return f * detailed_slowdown + (1 - f) * self.functional_slowdown
-
 
 class SampledHostExecutionModel(HostExecutionModel):
     """Host model whose busy slowdown follows a sampling schedule."""

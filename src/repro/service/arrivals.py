@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -66,17 +65,6 @@ class BurstWindow:
             raise ValueError(f"burst window [{self.start}, {self.end}) is empty")
         if self.factor <= 0:
             raise ValueError(f"burst factor must be positive, got {self.factor}")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"start": self.start, "end": self.end, "factor": self.factor}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "BurstWindow":
-        return cls(
-            start=int(payload["start"]),
-            end=int(payload["end"]),
-            factor=float(payload["factor"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -150,29 +138,6 @@ class ArrivalProfile:
             inside = (times >= burst.start) & (times < burst.end)
             factors[inside] *= burst.factor
         return factors
-
-    # -- serialization --------------------------------------------------- #
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "rate_per_sec": self.rate_per_sec,
-            "num_requests": self.num_requests,
-            "diurnal_amplitude": self.diurnal_amplitude,
-            "diurnal_period": self.diurnal_period,
-            "bursts": [burst.to_dict() for burst in self.bursts],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ArrivalProfile":
-        return cls(
-            rate_per_sec=float(payload["rate_per_sec"]),
-            num_requests=int(payload["num_requests"]),
-            diurnal_amplitude=float(payload.get("diurnal_amplitude", 0.0)),
-            diurnal_period=int(payload.get("diurnal_period", SECOND)),
-            bursts=tuple(
-                BurstWindow.from_dict(entry) for entry in payload.get("bursts", [])
-            ),
-        )
 
     def describe(self) -> str:
         parts = [f"{self.num_requests} requests @ {self.rate_per_sec:g}/s"]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.engine.units import SimTime, format_time
+from repro.engine.units import SimTime
 from repro.metrics.percentiles import SERVICE_POINTS, nearest_rank_percentiles
 
 
@@ -43,21 +43,6 @@ class ServiceStats:
         if self.completed == 0:
             return 0.0
         return self.slo_misses / self.completed
-
-    def render(self) -> str:
-        """One summary line, safe for zero-request runs."""
-        if self.completed == 0:
-            return f"service: 0/{self.issued} requests completed"
-        points = " ".join(
-            f"p{point:g}={format_time(self.percentiles[point])}"
-            for point in sorted(self.percentiles)
-        )
-        return (
-            f"service: {self.completed}/{self.issued} requests, {points}, "
-            f"mean={format_time(round(self.mean_latency_ns))}, "
-            f"SLO({format_time(self.slo_ns)}) miss "
-            f"{100 * self.slo_miss_rate:.2f}%"
-        )
 
 
 def service_stats(

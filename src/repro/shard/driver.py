@@ -51,8 +51,8 @@ fast-forward span, whichever process draws it), the per-element float
 operations are the serial steppers' own, float ``max`` is insensitive
 to grouping, and the emission sort restores the serial total order.  A
 sharded run is therefore **bit-identical to the serial path** — the same
-acceptance gate the vectorized stepper meets, enforced by
-``tests/test_shard.py``.
+acceptance gate the vectorized stepper meets, enforced by the
+``shards=k`` pairs of the differential oracle, ``tests/oracle.py``.
 
 Configurations the drain contract cannot cover (traced, fault-injected,
 sampled, or adaptive policies whose ``max_Q`` exceeds ``T``) fall back

@@ -1,96 +1,49 @@
 """Kill/resume bit-identity: the checkpoint subsystem's acceptance gate.
 
-Every test follows the same shape: run a configuration to completion
-while collecting a snapshot at every quantum boundary, then rebuild a
-fresh simulator, restore an intermediate snapshot, run it to completion,
-and require the resumed result to be *bit-identical* (``asdict``
-equality, byte-identical trace streams) to the uninterrupted reference.
-The matrix spans the drivers ({scalar, vectorized, sharded}) crossed
-with the observation modes ({plain, checked, traced, faulted}).
+A resume pair of ``tests/oracle.py`` runs a configuration to completion
+while collecting a snapshot at every quantum boundary, restores its
+first, middle or last snapshot onto a fresh simulator — under either
+stepper and either engine core — and requires the resumed result to equal
+the scalar-python run, which was never checkpointed.  The tests here name
+the pairs they cover; the unique cases are the byte-identical trace
+stream, the jitter remainder, the interaction with sharding, the cadence
+and the guards.
 """
 
 import dataclasses
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
 
-from repro.checkpoint import (
-    CheckpointConfig,
-    CheckpointStore,
-    capture_snapshot,
-    restore_snapshot,
-)
-from repro.core import (
-    ClusterConfig,
-    ClusterSimulator,
-    FixedQuantumPolicy,
-)
+from repro.checkpoint import CheckpointConfig, CheckpointStore, capture_snapshot, restore_snapshot
 from repro.engine import RngStreams
-from repro.engine.backend import native_available
-from repro.engine.units import MICROSECOND
-from repro.faults.plan import FaultPlan
-from repro.network import NetworkController, PAPER_NETWORK
-from repro.node import ComputeTime, Recv, Send, SimulatedNode
 from repro.node.hostmodel import JITTER_BUFFER, HostModelParams
-from repro.node.transport import RecoveryConfig, TransportConfig
 from repro.obs.collector import TraceConfig
 from repro.shard import run_sharded
 from repro.workloads import IsWorkload
 
-US = MICROSECOND
+from tests import oracle
 
-BACKENDS = [
-    "python",
-    pytest.param(
-        "native",
-        marks=pytest.mark.skipif(
-            not native_available(), reason="compiled engine core not built"
-        ),
-    ),
-]
-
-
-def pingpong_apps(rounds, gap=50 * US, nbytes=64):
-    def pinger():
-        for _ in range(rounds):
-            yield Send(dst=1, nbytes=nbytes)
-            yield Recv(src=1)
-            yield ComputeTime(gap)
-        return "ping-done"
-
-    def ponger():
-        for _ in range(rounds):
-            yield Recv(src=0)
-            yield Send(dst=0, nbytes=nbytes)
-        return "pong-done"
-
-    return [pinger(), ponger()]
+PINGPONG = oracle.CONFIGS["pingpong-10us"]
+CHECKED = oracle.pairs("pingpong-10us-checked", group="resume")
+FAULTED = oracle.pairs("pingpong30-faulted", group="resume")
+UNCHECKPOINTED = "pingpong-10us[resume@first]"
+#: Captured under one stepper and resumed under another, by test case.
+STEPPER_SWAPS = [f"{one}>{other}" for one in ("scalar", "vectorized")
+                 for other in ("scalar", "vectorized")]
+CROSS_DRIVER = {swap: f"IS-8-5us[resume@mid{'' if swap == 'scalar>scalar' else ':' + swap}]"
+                for swap in STEPPER_SWAPS}
+#: Every oracle pair the tests here check.
+PAIRS = CHECKED + FAULTED + [UNCHECKPOINTED] + list(CROSS_DRIVER.values())
 
 
-def build_sim(
-    tmp_path,
-    *,
-    apps=None,
-    num_nodes=2,
-    seed=7,
-    vectorized=False,
-    window=10 * US,
-    transport=None,
-    **config_kwargs,
-):
-    apps = apps if apps is not None else pingpong_apps(20)
-    nodes = [
-        SimulatedNode(i, app, transport=transport) for i, app in enumerate(apps)
-    ]
-    controller = NetworkController(num_nodes, PAPER_NETWORK(num_nodes))
-    config = ClusterConfig(
-        seed=seed,
-        vectorized=vectorized,
-        checkpoint=CheckpointConfig(directory=str(tmp_path), every_quanta=1),
-        **config_kwargs,
-    )
-    return ClusterSimulator(nodes, controller, FixedQuantumPolicy(window), config)
+def build_sim(tmp_path, config=PINGPONG, **options):
+    """*config* checkpointing every quantum into *tmp_path*, on the oracle's
+    shard and resume core unless *options* say otherwise."""
+    checkpoint = CheckpointConfig(directory=str(tmp_path), every_quanta=1)
+    return oracle.build(config, checkpoint=checkpoint, **{**oracle.CORE, **options})
 
 
 def run_collecting(factory):
@@ -109,54 +62,22 @@ def resume_from(factory, snapshot):
     return sim.run()
 
 
-def assert_identical(reference, resumed):
-    assert dataclasses.asdict(reference) == dataclasses.asdict(resumed)
-
-
-def probe_points(snaps):
-    """First, middle, and last snapshot — the interesting resume points."""
-    assert snaps, "run produced no snapshots"
-    return sorted({0, len(snaps) // 2, len(snaps) - 1})
-
-
 class TestScalarResume:
-    def test_checked_pingpong_resumes_bit_identically(self, tmp_path):
-        factory = lambda: build_sim(tmp_path, check=True)
-        reference, snaps = run_collecting(factory)
-        assert reference.completed
-        for index in probe_points(snaps):
-            assert_identical(reference, resume_from(factory, snaps[index]))
+    def test_checked_pingpong_resumes_bit_identically(self):
+        oracle.check(*CHECKED)
 
-    def test_checkpointing_itself_changes_nothing(self, tmp_path):
-        plain = ClusterSimulator(
-            [SimulatedNode(i, app) for i, app in enumerate(pingpong_apps(20))],
-            NetworkController(2, PAPER_NETWORK(2)),
-            FixedQuantumPolicy(10 * US),
-            ClusterConfig(seed=7),
-        ).run()
-        checkpointed, _ = run_collecting(lambda: build_sim(tmp_path))
-        assert_identical(plain, checkpointed)
+    def test_checkpointing_itself_changes_nothing(self):
+        """Every resume pair first asserts that its checkpointing run
+        equals the reference, which was not checkpointed."""
+        oracle.check(UNCHECKPOINTED)
 
-    def test_faulted_recovery_run_resumes_bit_identically(self, tmp_path):
-        faults = FaultPlan(drop_rate=0.03, jitter_rate=0.02, jitter_max=5000)
-        factory = lambda: build_sim(
-            tmp_path,
-            apps=pingpong_apps(30),
-            transport=TransportConfig(recovery=RecoveryConfig()),
-            faults=faults,
-            check=True,
-        )
-        reference, snaps = run_collecting(factory)
-        assert reference.completed
-        assert reference.fault_stats is not None
-        for index in probe_points(snaps):
-            assert_identical(reference, resume_from(factory, snaps[index]))
+    def test_faulted_recovery_run_resumes_bit_identically(self):
+        assert oracle.reference("pingpong30-faulted").result.fault_stats is not None
+        oracle.check(*FAULTED)
 
     def test_traced_run_resumes_with_byte_identical_jsonl(self, tmp_path):
         def factory(path):
-            return lambda: build_sim(
-                tmp_path, trace=TraceConfig(jsonl_path=str(path))
-            )
+            return lambda: build_sim(tmp_path, trace=TraceConfig(jsonl_path=str(path)))
 
         ref_path = tmp_path / "ref.jsonl"
         sim = factory(ref_path)()
@@ -167,7 +88,7 @@ class TestScalarResume:
         sim.collector.close()
         ref_bytes = ref_path.read_bytes()
 
-        for index in probe_points(snaps):
+        for index in sorted({0, len(snaps) // 2, len(snaps) - 1}):
             resumed_path = tmp_path / f"resumed-{index}.jsonl"
             # Crash-resume semantics: the interrupted run's sink is on
             # disk, holding at least the snapshot's byte offset (usually
@@ -180,7 +101,7 @@ class TestScalarResume:
             resumed = resumed_sim.run()
             assert resumed_sim.collector is not None
             resumed_sim.collector.close()
-            assert_identical(reference, resumed)
+            assert dataclasses.asdict(reference) == dataclasses.asdict(resumed)
             # The trace *stream* continues byte-identically: the restore
             # seeks the sink to the captured offset and truncates.
             assert resumed_path.read_bytes() == ref_bytes
@@ -193,24 +114,9 @@ class TestCrossDriverResume:
 
     @pytest.mark.parametrize("capture_vec", [False, True])
     @pytest.mark.parametrize("restore_vec", [False, True])
-    def test_all_capture_restore_combinations(
-        self, tmp_path, capture_vec, restore_vec
-    ):
-        workload = IsWorkload(total_keys=2**12, iterations=2, ops_per_key=8)
-
-        def factory(vec):
-            return build_sim(
-                tmp_path,
-                apps=workload.build_apps(8),
-                num_nodes=8,
-                vectorized=vec,
-                window=5 * US,
-            )
-
-        reference, snaps = run_collecting(lambda: factory(capture_vec))
-        index = len(snaps) // 2
-        resumed = resume_from(lambda: factory(restore_vec), snaps[index])
-        assert_identical(reference, resumed)
+    def test_all_capture_restore_combinations(self, capture_vec, restore_vec):
+        stepper = {False: "scalar", True: "vectorized"}
+        oracle.check(CROSS_DRIVER[f"{stepper[capture_vec]}>{stepper[restore_vec]}"])
 
 
 def with_long_remainder(snapshot, extra):
@@ -222,7 +128,7 @@ def with_long_remainder(snapshot, extra):
     sigma = HostModelParams().jitter_sigma
     for node_id, remainder in enumerate(state["jitter"]):
         name = f"host-jitter[{node_id}]"
-        stream = RngStreams(0).fresh(name)
+        stream = RngStreams(0).stream(name)
         stream.bit_generator.state = state["rng"][name]
         more = np.exp(stream.normal(-sigma**2 / 2, sigma, size=extra))
         state["jitter"][node_id] = np.concatenate((remainder, more))
@@ -231,28 +137,22 @@ def with_long_remainder(snapshot, extra):
     return dataclasses.replace(snapshot, payload=payload)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", oracle.BACKENDS)
 @pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "vectorized"])
 def test_remainder_longer_than_the_buffer_bound_restores(tmp_path, backend, vectorized):
     """Snapshots written while a host model could keep up to 4 096
     unconsumed draws (more than ``JITTER_BUFFER``) restore and continue
     bit-identically on either stepper and backend.  The run consumes
     past the lengthened remainder, so the moved stream state is read too."""
-    workload = IsWorkload(total_keys=2**12, iterations=2, ops_per_key=20_000)
-
-    def factory(vec, backend):
-        return build_sim(
-            tmp_path, apps=workload.build_apps(8), num_nodes=8, vectorized=vec,
-            window=5 * US, backend=backend,
-        )
-
-    reference, snaps = run_collecting(lambda: factory(True, "python"))
+    config = dataclasses.replace(oracle.CONFIGS["IS-8-5us"], apps=oracle.workload(
+        IsWorkload, total_keys=2**12, iterations=2, ops_per_key=20_000))
+    reference, snaps = run_collecting(lambda: build_sim(tmp_path, config, vectorized=True))
     snapshot = with_long_remainder(snaps[len(snaps) // 2], extra=300)
-    sim = factory(vectorized, backend)
-    sim.checkpoint_sink = lambda _snap: None
-    restore_snapshot(sim, snapshot)
-    assert min(len(model._buffer) for model in sim.host_models) > JITTER_BUFFER
-    assert_identical(reference, sim.run())
+    resumed = build_sim(tmp_path, config, vectorized=vectorized, backend=backend)
+    resumed.checkpoint_sink = lambda _snap: None
+    restore_snapshot(resumed, snapshot)
+    assert min(len(model._buffer) for model in resumed.host_models) > JITTER_BUFFER
+    assert resumed.run() == reference
 
 
 class TestShardedInteraction:
@@ -266,12 +166,8 @@ class TestShardedInteraction:
 
     def test_supervised_run_falls_back_to_serial(self):
         def factory():
-            sim = ClusterSimulator(
-                [SimulatedNode(i, a) for i, a in enumerate(pingpong_apps(5))],
-                NetworkController(2, PAPER_NETWORK(2)),
-                FixedQuantumPolicy(10 * US),
-                ClusterConfig(seed=7),
-            )
+            sim = oracle.build(dataclasses.replace(
+                PINGPONG, apps=partial(oracle.pingpong_apps, rounds=5)))
             sim.supervision = lambda now, window: None
             return sim
 
@@ -280,51 +176,35 @@ class TestShardedInteraction:
         assert outcome.fallback_reason is not None
         assert "supervised" in outcome.fallback_reason
 
-    def test_snapshot_restores_identically_regardless_of_shard_request(
-        self, tmp_path
-    ):
+    def test_snapshot_restores_identically_regardless_of_shard_request(self, tmp_path):
         """A snapshot taken under a shard-requesting config restores and
         completes bit-identically: sharded execution is serial-identical,
         so 'restore onto either driver' holds by construction."""
-        factory = lambda: build_sim(tmp_path, shards=2)
+        def factory():
+            return build_sim(tmp_path, shards=2)
+
         reference, snaps = run_collecting(factory)
-        resumed = resume_from(factory, snaps[len(snaps) // 2])
-        assert_identical(reference, resumed)
+        assert resume_from(factory, snaps[len(snaps) // 2]) == reference
 
 
 class TestCadence:
     def test_quantum_cadence_counts_boundaries(self, tmp_path):
-        sim = build_sim(tmp_path)
-        sim.config = dataclasses.replace(
-            sim.config,
-            checkpoint=CheckpointConfig(directory=str(tmp_path), every_quanta=4),
-        )
-        snaps = []
-        sim.checkpoint_sink = snaps.append
-        result = sim.run()
-        total = result.quantum_stats.quanta
-        assert 0 < len(snaps) <= total // 4 + 1
+        checkpoint = CheckpointConfig(directory=str(tmp_path), every_quanta=4)
+        result, snaps = run_collecting(lambda: oracle.build(PINGPONG, checkpoint=checkpoint))
+        assert 0 < len(snaps) <= result.quantum_stats.quanta // 4 + 1
 
     def test_sim_time_cadence(self, tmp_path):
-        sim = build_sim(tmp_path)
-        sim.config = dataclasses.replace(
-            sim.config,
-            checkpoint=CheckpointConfig(
-                directory=str(tmp_path), every_sim_time=100 * US
-            ),
-        )
-        snaps = []
-        sim.checkpoint_sink = snaps.append
-        result = sim.run()
+        checkpoint = CheckpointConfig(directory=str(tmp_path), every_sim_time=100 * oracle.US)
+        result, snaps = run_collecting(lambda: oracle.build(PINGPONG, checkpoint=checkpoint))
         assert snaps
-        assert len(snaps) <= result.sim_time // (100 * US) + 1
+        assert len(snaps) <= result.sim_time // (100 * oracle.US) + 1
         # Snapshots are ordered by simulated time and spaced >= the cadence.
         times = [snap.sim_time for snap in snaps]
         assert times == sorted(times)
-        assert all(b - a >= 100 * US for a, b in zip(times, times[1:]))
+        assert all(b - a >= 100 * oracle.US for a, b in zip(times, times[1:]))
 
     def test_default_sink_writes_to_the_store(self, tmp_path):
-        result, _ = (build_sim(tmp_path).run(), None)
+        result = build_sim(tmp_path).run()
         store = CheckpointStore(tmp_path)
         snapshot = store.load("run")
         assert snapshot is not None
@@ -337,27 +217,14 @@ class TestGuards:
     def test_capture_requires_app_log(self):
         # A simulator built without a checkpoint config records no app
         # input log, so there is nothing sound to capture.
-        sim = ClusterSimulator(
-            [SimulatedNode(i, a) for i, a in enumerate(pingpong_apps(2))],
-            NetworkController(2, PAPER_NETWORK(2)),
-            FixedQuantumPolicy(10 * US),
-            ClusterConfig(seed=7),
-        )
+        sim = oracle.build(PINGPONG)
         with pytest.raises(RuntimeError, match="input log"):
-            capture_snapshot(
-                sim,
-                now=0,
-                host=0.0,
-                q_state=sim.policy.initial(),
-                quantum_stats=None,
-                breakdown=None,
-                timeline=None,
-            )
+            capture_snapshot(sim, now=0, host=0.0, q_state=sim.policy.initial(),
+                             quantum_stats=None, breakdown=None, timeline=None)
 
     def test_restore_requires_fresh_simulator(self, tmp_path):
-        factory = lambda: build_sim(tmp_path)
-        _, snaps = run_collecting(factory)
-        used = factory()
+        _, snaps = run_collecting(lambda: build_sim(tmp_path))
+        used = build_sim(tmp_path)
         used.run()
         with pytest.raises(RuntimeError, match="fresh"):
             restore_snapshot(used, snaps[0])

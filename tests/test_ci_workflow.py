@@ -68,7 +68,8 @@ def test_sharded_smoke_runs_the_shard_suite_on_one_cpu():
         if label.startswith("sharded-smoke/") and "taskset" in script
     ]
     assert pinned == [
-        "taskset -c 0 env PYTHONPATH=src python -m pytest -x -q tests/test_shard.py".split()
+        "taskset -c 0 env PYTHONPATH=src python -m pytest -x -q tests/test_shard.py "
+        "tests/test_oracle.py".split()
     ]
 
 

@@ -212,7 +212,8 @@ class TestTimeline:
             FixedQuantumPolicy(10 * US), timeline_bucket=100 * US
         ).run()
         assert result.timeline is not None
-        assert result.timeline.total_host_time == pytest.approx(result.host_time, rel=1e-6)
+        total = sum(cost for _, cost in result.timeline.series())
+        assert total == pytest.approx(result.host_time, rel=1e-6)
 
     def test_timeline_absent_by_default(self):
         result = build(FixedQuantumPolicy(10 * US)).run()

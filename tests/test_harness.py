@@ -76,6 +76,22 @@ class TestExperimentRunner:
         second = runner.ground_truth(workload, 2)
         assert first is second
 
+    def test_ground_truth_is_per_workload_parameters(self):
+        """Two workloads sharing a name but not their parameters are
+        compared each to its own truth, as on a fresh runner."""
+        from repro.workloads import IsWorkload
+
+        small, large = (IsWorkload(total_keys=2**k, iterations=2) for k in (12, 14))
+        policy = FixedQuantumPolicy(100 * US)
+        shared = ExperimentRunner()
+        shared.compare(small, shared.run(small, 4, policy))
+        assert shared.has_ground_truth(small, 4)
+        assert not shared.has_ground_truth(large, 4)
+        fresh = ExperimentRunner()
+        assert shared.compare(large, shared.run(large, 4, policy)) == fresh.compare(
+            large, fresh.run(large, 4, policy)
+        )
+
     def test_comparison_row_fields(self):
         runner = ExperimentRunner(seed=3)
         workload = EpWorkload(total_ops=2e7)

@@ -119,7 +119,6 @@ class TestTrafficTrace:
         assert trace.total_packets == 10
         assert trace.total_bytes == 10_000
         assert len(trace.samples) == 10
-        assert trace.sampled_fraction == 1.0
 
     def test_thinning_bounds_memory(self):
         trace = TrafficTrace(4, max_samples=64)
@@ -157,12 +156,6 @@ class TestTrafficTrace:
 
     def test_ascii_chart_empty(self):
         assert TrafficTrace(4).ascii_chart() == "(no traffic)"
-
-    def test_csv_output(self):
-        trace = TrafficTrace(4)
-        trace.record(5, 1, 2, 99)
-        csv = trace.to_csv()
-        assert csv.splitlines() == ["time_ns,src,dst,size_bytes", "5,1,2,99"]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,10 @@
 """Tests for the deterministic open-loop arrival feeder."""
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.engine.rng import RngStreams
-from repro.engine.units import MILLISECOND, SECOND
+from repro.engine.units import MILLISECOND
 from repro.service import (
     ARRIVALS_STREAM,
     ArrivalProfile,
@@ -46,17 +44,6 @@ class TestProfileIdentity:
         assert a == b
         assert hash(a) == hash(b)
         assert a in {b}
-
-    def test_json_round_trip(self):
-        profile = ArrivalProfile(
-            rate_per_sec=5_000.0,
-            num_requests=123,
-            diurnal_amplitude=0.4,
-            diurnal_period=2 * SECOND,
-            bursts=(BurstWindow(MILLISECOND, 3 * MILLISECOND, 2.5),),
-        )
-        restored = ArrivalProfile.from_dict(json.loads(json.dumps(profile.to_dict())))
-        assert restored == profile
 
     def test_describe_mentions_modulation(self):
         plain = ArrivalProfile()

@@ -1,21 +1,19 @@
-"""Sharded single-run execution: partitioning, bit-identity, fallbacks.
+"""Sharded single-run execution: partitioning, the barrier, fallbacks.
 
 The acceptance gate of :mod:`repro.shard` is the same as the vectorized
 stepper's: sharded execution is an *acceleration*, never an
-approximation.  The matrix here runs 30+ configurations (paper workloads
-x cluster sizes x quantum policies x shard counts, including checked,
-recovery-transport, traced, and faulted variants) through
-:func:`repro.shard.run_sharded` and asserts the :class:`RunResult` is
-equal field-for-field to a serial run of the identical configuration —
-whether the run actually sharded or degraded to the serial fallback
-(whose reason is asserted too).
+approximation.  The ``shards=k`` variants of ``tests/oracle.py`` run the
+declared configurations through :func:`repro.shard.run_sharded` and
+compare them to scalar-python — whether the run actually sharded or
+degraded to the serial fallback (whose reason is asserted too).  The
+matrix tests here name the pairs they cover.
 
-Also covered: the process layout (the parent steps slice 0 itself and
-audits it under the sanitizer), the pipe encoding of frames, the spin
-gate of the barrier, the partitioner's exactly-once/deterministic
-guarantees and ``REPRO_SHARDS`` resolution.  That the shard count never
-enters a harness cache key is ``tests/test_harness_settings.py``'s
-per-field test.
+Unique to this file: the process layout (the parent steps slice 0 itself
+and audits it under the sanitizer), the pipe encoding of frames, the
+spin gate of the barrier, the partitioner's exactly-once/deterministic
+guarantees, ``REPRO_SHARDS`` resolution, infrastructure fallbacks and
+the harness integration.  That the shard count never enters a harness
+cache key is ``tests/test_harness_settings.py``'s per-field test.
 """
 
 from __future__ import annotations
@@ -27,100 +25,50 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (
-    ClusterConfig,
-    ClusterSimulator,
-    DeadlockError,
-    FixedQuantumPolicy,
-)
-from repro.core.quantum import AdaptiveQuantumPolicy
-from repro.engine.units import MICROSECOND
-from repro.faults.plan import load_plan
+from repro.core import DeadlockError, FixedQuantumPolicy
 from repro.harness.configs import ground_truth_policy
 from repro.harness.experiment import ExperimentRunner
-from repro.network import NetworkController, PAPER_NETWORK
 from repro.network.packet import BROADCAST, Packet, packet_id_position
-from repro.node import ComputeTime, Recv, SimulatedNode
+from repro.node import ComputeTime, Recv
 from repro.node.hostmodel import HostModelParams
-from repro.node.transport import RecoveryConfig, TransportConfig
-from repro.obs.collector import TraceConfig
 from repro.shard import SHARDS_ENV, partition_nodes, resolve_shards, run_sharded
 import repro.shard.driver as shard_driver
-from repro.workloads import EpWorkload, IsWorkload, NamdWorkload
+from repro.workloads import IsWorkload
 
-US = MICROSECOND
+from tests import oracle
 
-WORKLOADS = {
-    "EP": lambda size: EpWorkload().build_apps(size),
-    "IS": lambda size: IsWorkload().build_apps(size),
-    "NAMD": lambda size: NamdWorkload().build_apps(size),
-}
+US = oracle.US
+IS4 = oracle.CONFIGS["IS-4-1us"]
+IS8 = oracle.CONFIGS["IS-8-1us"]
+GROUND_TRUTH = oracle.pairs(*[f"{kernel}-{size}-1us" for kernel in oracle.KERNELS
+                              for size in (2, 4, 8)], group="shard")
+CHECKED = oracle.pairs(*[f"{kernel}-4-1us-checked" for kernel in oracle.KERNELS], group="shard")
+RECOVERY = oracle.pairs("IS-8-1us-recovery", group="shard")
+LOOP_OPTIONS = [f"{name}[shards=2]" for name in (
+    "IS-4-1us-timeline", "NAMD-4-1us-timeline", "IS-4-1us-jitter0",
+    "NAMD-4-1us-jitter0", "IS15-4-1us-no-ff", "IS-4-1us-limit",
+)]
+WIDE = ["IS-4-10us[shards=2]", "NAMD-4-dyn1.03[shards=2]"]
+#: Every oracle pair the tests here check.
+PAIRS = (GROUND_TRUTH + CHECKED + RECOVERY + LOOP_OPTIONS + WIDE
+         + ["IS-4-1us-traced[shards=2]", "IS-4-1us-lossy-1[shards=2]"])
 
 
-def small_is(size):
+def shard(config):
+    """A factory of fresh simulators of *config* on the shard variants' core."""
+    return lambda: oracle.build(config, **oracle.CORE)
+
+
+def small_is(size, **options):
     """An IS run of about a thousand quanta, for per-window checks."""
-    return IsWorkload(total_keys=2**15, iterations=2).build_apps(size)
+    apps = oracle.workload(IsWorkload, total_keys=2**15, iterations=2)
+    return oracle.Config(f"IS15-{size}-1us", apps, size, oracle.fixed(1), options=options)
 
 
-def _factory(
-    apps_factory,
-    size,
-    policy_factory,
-    *,
-    seed=7,
-    check=None,
-    faults=None,
-    trace=False,
-    transport=None,
-    shards=None,
-    **options,
-):
-    def build():
-        nodes = [
-            SimulatedNode(i, app, transport=transport)
-            for i, app in enumerate(apps_factory(size))
-        ]
-        controller = NetworkController(size, PAPER_NETWORK(size))
-        config = ClusterConfig(
-            seed=seed,
-            check=check,
-            faults=faults,
-            trace=TraceConfig() if trace else None,
-            shards=shards,
-            **options,
-        )
-        return ClusterSimulator(nodes, controller, policy_factory(), config)
-
-    return build
-
-
-def _assert_identical(
-    apps_factory,
-    size,
-    policy_factory,
-    shards,
-    *,
-    serial=None,
-    expect_sharded=True,
-    expect_reason=None,
-    expect_completed=True,
-    **kwargs,
-):
-    """Sharded equals serial; pass *serial* to reuse a reference run."""
-    build = _factory(apps_factory, size, policy_factory, **kwargs)
-    if serial is None:
-        serial = build().run()
-    outcome = run_sharded(build, shards=shards)
-    if expect_sharded:
-        assert outcome.fallback_reason is None
-        assert outcome.shards == min(shards, size)
-    else:
-        assert outcome.shards == 1
-        assert outcome.fallback_reason is not None
-        if expect_reason is not None:
-            assert expect_reason in outcome.fallback_reason
-    assert serial.completed is expect_completed
-    assert serial == outcome.result
+def sharded(config, shards, expected=None):
+    """Verify *config* under *shards* against its scalar-python run."""
+    variant = oracle.Variant(f"shards={shards}", "shard", oracle.CORE, shards=shards)
+    oracle.verify(config, variant, expected)
 
 
 # ---------------------------------------------------------------------- #
@@ -171,24 +119,16 @@ def test_resolve_shards(monkeypatch):
 
 
 # ---------------------------------------------------------------------- #
-# Bit-identity matrix (30+ configurations with the fallback tests below)
+# Bit-identity: the oracle's shard pairs, and the process layout
 # ---------------------------------------------------------------------- #
 
 
 def test_sharded_matrix_is_bit_identical():
-    """3 workloads x 3 sizes x 3 shard counts = 27 truly-sharded configs
-    (at size 2 the count clamps to 2 shards), all at the ground-truth
-    quantum where every window is a drain window.  Each (workload, size)
-    runs its serial reference once."""
-    configs = 0
-    for apps_factory in WORKLOADS.values():
-        for size in (2, 4, 8):
-            policy = lambda: FixedQuantumPolicy(US)  # noqa: E731
-            serial = _factory(apps_factory, size, policy)().run()
-            for shards in (2, 3, 4):
-                _assert_identical(apps_factory, size, policy, shards, serial=serial)
-                configs += 1
-    assert configs == 27
+    """3 workloads x 3 sizes at the ground-truth quantum, where every
+    window is a drain window, over 2, 3 and 4 shards (at size 2 only 2:
+    more clamp to it)."""
+    assert len(GROUND_TRUTH) == 21
+    oracle.check(*GROUND_TRUTH)
 
 
 @pytest.fixture
@@ -209,13 +149,13 @@ def test_parent_steps_slice_zero_of_uneven_partitions(layouts):
     """The parent is shard 0: it steps the first (largest) slice itself
     and forks one worker per other slice, so k shards are k processes.
     A run that bound the parent to one CPU gives its affinity back."""
-    policy = lambda: FixedQuantumPolicy(US)  # noqa: E731
     affinity = os.sched_getaffinity(0)
     for size in (5, 9):
-        serial = _factory(small_is, size, policy)().run()
+        config = small_is(size)
+        expected = oracle.scalar_python(config)
         for shards in (2, 3, 4):
             layouts.clear()
-            _assert_identical(small_is, size, policy, shards, serial=serial)
+            sharded(config, shards, expected)
             slices = partition_nodes(size, shards)
             assert layouts == [(slices[0], shards - 1)]
             assert os.sched_getaffinity(0) == affinity
@@ -226,13 +166,10 @@ def test_per_shard_feeds_are_bit_identical(layouts):
     without jitter (no draws on any side), and with the accelerator off
     (every quantum a window: one draw per node per quantum, in every
     shard), over uneven slices."""
-    for apps_factory, config in (
-        (WORKLOADS["NAMD"], {"host_params": HostModelParams(jitter_sigma=0)}),
-        (small_is, {"fast_forward": False}),
-    ):
-        _assert_identical(
-            apps_factory, 5, lambda: FixedQuantumPolicy(US), 3, **config
-        )
+    jitter_free = {"host_params": HostModelParams(jitter_sigma=0)}
+    namd = oracle.workload(oracle.KERNELS["NAMD"])
+    sharded(oracle.Config("NAMD-5-1us-jitter0", namd, 5, oracle.fixed(1), options=jitter_free), 3)
+    sharded(small_is(5, fast_forward=False), 3)
     assert [span for span, _ in layouts] == [range(0, 2)] * 2
 
 
@@ -240,12 +177,7 @@ def test_checked_sharded_runs_are_bit_identical():
     """The causality sanitizer audits both sides of the barrier split
     (per-shard queue/clock invariants in the workers, window/accounting
     invariants in the parent) without changing results."""
-    for apps_factory in WORKLOADS.values():
-        for shards in (2, 4):
-            _assert_identical(
-                apps_factory, 4, lambda: FixedQuantumPolicy(US), shards,
-                check=True,
-            )
+    oracle.check(*CHECKED)
 
 
 def test_checked_parent_audits_its_own_slice(monkeypatch):
@@ -261,11 +193,10 @@ def test_checked_parent_audits_its_own_slice(monkeypatch):
         audit(sim, stepper, start, end)
 
     monkeypatch.setattr(shard_driver, "_audit_slice", recording)
-    build = _factory(small_is, 5, lambda: FixedQuantumPolicy(US), check=True)
-    serial = build().run()
-    outcome = run_sharded(build, shards=3)
+    config = small_is(5, check=True)
+    outcome = run_sharded(shard(config), shards=3)
     assert outcome.shards == 3 and outcome.fallback_reason is None
-    assert outcome.result == serial
+    assert outcome.result == oracle.scalar_python(config).result
     assert set(audited) == {range(0, 2)}
     assert len(audited) == outcome.simulator.perf.event_quanta
 
@@ -273,12 +204,7 @@ def test_checked_parent_audits_its_own_slice(monkeypatch):
 def test_recovery_transport_sharded_runs_are_bit_identical():
     """Delayed-ack/RTO timer events drain inside shard workers, and the
     per-node transport stats are reassembled across shard boundaries."""
-    transport = TransportConfig(recovery=RecoveryConfig())
-    for shards in (2, 4):
-        _assert_identical(
-            WORKLOADS["IS"], 8, lambda: FixedQuantumPolicy(US), shards,
-            transport=transport,
-        )
+    oracle.check(*RECOVERY)
 
 
 def test_sharded_loop_options_are_bit_identical():
@@ -286,24 +212,7 @@ def test_sharded_loop_options_are_bit_identical():
     every loop-level option behaves as it does serially: the host-cost
     timeline, a time limit that stops the run mid-way, jitter-free host
     models (no draws consumed on either side), and the accelerator off."""
-    for apps_factory in (WORKLOADS["IS"], WORKLOADS["NAMD"]):
-        for config in (
-            {"timeline_bucket": 50 * US},
-            {"host_params": HostModelParams(jitter_sigma=0)},
-        ):
-            _assert_identical(
-                apps_factory, 4, lambda: FixedQuantumPolicy(US), 2, **config
-            )
-    # Every quantum a barrier round trip: a small input keeps it to ~900.
-    _assert_identical(
-        small_is, 4, lambda: FixedQuantumPolicy(US), 2, fast_forward=False,
-    )
-    finished = _factory(WORKLOADS["IS"], 4, lambda: FixedQuantumPolicy(US))().run()
-    _assert_identical(
-        WORKLOADS["IS"], 4, lambda: FixedQuantumPolicy(US), 2,
-        sim_time_limit=finished.sim_time // 2, timeline_bucket=50 * US,
-        expect_completed=False,
-    )
+    oracle.check(*LOOP_OPTIONS)
 
 
 def test_sharded_deadlock_reports_like_serial():
@@ -317,13 +226,13 @@ def test_sharded_deadlock_reports_like_serial():
 
         return [waiter(3), silent(), waiter(1), silent()]
 
-    build = _factory(apps, 4, lambda: FixedQuantumPolicy(US))
+    config = dataclasses.replace(IS4, apps=apps)
     with pytest.raises(DeadlockError) as serial:
-        build().run()
-    with pytest.raises(DeadlockError) as sharded:
-        run_sharded(build, shards=2)
+        oracle.build(config).run()
+    with pytest.raises(DeadlockError) as sharded_run:
+        run_sharded(shard(config), shards=2)
     assert "node0, node2" in str(serial.value)
-    assert str(sharded.value) == str(serial.value)
+    assert str(sharded_run.value) == str(serial.value)
 
 
 # ---------------------------------------------------------------------- #
@@ -423,9 +332,8 @@ def test_farm_workers_never_spin(monkeypatch, tmp_path):
     farm = ParallelRunner(seed=7, shards=2, max_workers=2, use_cache=False)
     records = farm.run_many(requests)
     assert [source for *_, source in farm.last_batch_report] == ["worker"] * 2
-    serial = ExperimentRunner(seed=7)
-    for (workload, size, _), record in zip(requests, records):
-        assert serial.run_spec(workload, size, spec).result == record.result
+    for size, record in zip((4, 8), records):
+        assert record.result == oracle.reference(f"IS-{size}-1us").result
     pipes = log.read_text().split("\n")[:-1]
     # One pipe end in each run's parent and one in its worker.
     assert len(pipes) == 4
@@ -437,7 +345,7 @@ def test_slice_steppers_refuse_to_interleave():
     processes; the slice stepper refuses it instead."""
     from repro.core.stepping import VectorStepper
 
-    sim = _factory(WORKLOADS["IS"], 4, lambda: FixedQuantumPolicy(10 * US))()
+    sim = oracle.build(oracle.CONFIGS["IS-4-10us"])
     stepper = VectorStepper(sim, range(0, 2))
     stepper.open(0, 10 * US, 0.0)
     with pytest.raises(RuntimeError, match="can only drain"):
@@ -448,6 +356,7 @@ def test_one_cpu_blocks_instead_of_spinning(monkeypatch):
     """Pinned to one CPU, a 2-shard run never spins (a spinning waiter
     would hold the only CPU the awaited process needs) and still matches
     serial."""
+    expected = oracle.reference(IS4.name)
     cpu = min(os.sched_getaffinity(0))
     monkeypatch.setattr(shard_driver.os, "sched_getaffinity", lambda pid: {cpu})
     spins = []
@@ -458,7 +367,7 @@ def test_one_cpu_blocks_instead_of_spinning(monkeypatch):
             super().__init__(conn, spin_polls)
 
     monkeypatch.setattr(shard_driver, "_Pipe", Recording)
-    _assert_identical(WORKLOADS["IS"], 4, lambda: FixedQuantumPolicy(US), 2)
+    sharded(IS4, 2, expected)
     assert spins == [0]
 
 
@@ -471,55 +380,34 @@ def test_wide_quantum_policies_fall_back_serially():
     # Q > T: windows are not drain windows, so nodes could interact
     # mid-window and the shard split would be unsound.  10 us fixed and
     # the adaptive policy (max 1000 us) both exceed T = 1.053 us.
-    _assert_identical(
-        WORKLOADS["IS"], 4, lambda: FixedQuantumPolicy(10 * US), 2,
-        expect_sharded=False, expect_reason="exceeds the minimum network latency",
-    )
-    _assert_identical(
-        WORKLOADS["NAMD"], 4,
-        lambda: AdaptiveQuantumPolicy(US, 1000 * US, inc=1.03, dec=0.02), 2,
-        expect_sharded=False, expect_reason="exceeds the minimum network latency",
-    )
+    oracle.check(*WIDE)
 
 
 def test_traced_runs_fall_back_serially():
-    _assert_identical(
-        WORKLOADS["IS"], 4, lambda: FixedQuantumPolicy(US), 2,
-        trace=True, expect_sharded=False, expect_reason="traced",
-    )
+    oracle.check("IS-4-1us-traced[shards=2]")
 
 
 def test_faulted_runs_fall_back_serially():
-    _assert_identical(
-        WORKLOADS["IS"], 4, lambda: FixedQuantumPolicy(US), 2,
-        faults=load_plan("lossy-1"),
-        transport=TransportConfig(recovery=RecoveryConfig()),
-        expect_sharded=False, expect_reason="fault-injected",
-    )
+    oracle.check("IS-4-1us-lossy-1[shards=2]")
 
 
 def test_shards_one_is_the_plain_serial_path():
-    build = _factory(WORKLOADS["IS"], 4, lambda: FixedQuantumPolicy(US))
-    outcome = run_sharded(build, shards=1)
+    outcome = run_sharded(shard(IS4), shards=1)
     assert outcome.shards == 1
     assert outcome.fallback_reason is None  # not a fallback: never requested
 
 
 def test_env_shards_is_honored(monkeypatch):
     monkeypatch.setenv(SHARDS_ENV, "2")
-    build = _factory(WORKLOADS["IS"], 8, lambda: FixedQuantumPolicy(US))
-    serial = _factory(WORKLOADS["IS"], 8, lambda: FixedQuantumPolicy(US))().run()
-    outcome = run_sharded(build)  # no explicit count: config None -> env
+    outcome = run_sharded(shard(IS8))  # config None -> env
     assert outcome.shards == 2
-    assert serial == outcome.result
+    assert outcome.result == oracle.reference(IS8.name).result
 
 
 def test_fork_unavailable_falls_back(monkeypatch):
     monkeypatch.setattr(shard_driver, "_fork_available", lambda: False)
-    _assert_identical(
-        WORKLOADS["IS"], 4, lambda: FixedQuantumPolicy(US), 2,
-        expect_sharded=False, expect_reason="fork start method unavailable",
-    )
+    config = dataclasses.replace(IS4, serial="fork start method unavailable")
+    sharded(config, 2, oracle.reference(IS4.name))
 
 
 def test_midflight_worker_failure_reruns_serially(monkeypatch):
@@ -529,13 +417,11 @@ def test_midflight_worker_failure_reruns_serially(monkeypatch):
     # Workers are forked and the loop is running when the first barrier
     # reply is awaited.
     monkeypatch.setattr(shard_driver, "_recv", boom)
-    build = _factory(WORKLOADS["IS"], 8, lambda: FixedQuantumPolicy(US))
-    serial = build().run()
-    outcome = run_sharded(build, shards=2)
+    outcome = run_sharded(shard(IS8), shards=2)
     assert outcome.shards == 1
     assert "re-ran serially" in outcome.fallback_reason
     assert "synthetic pipe failure" in outcome.fallback_reason
-    assert serial == outcome.result
+    assert outcome.result == oracle.reference(IS8.name).result
 
 
 # ---------------------------------------------------------------------- #
@@ -544,15 +430,12 @@ def test_midflight_worker_failure_reruns_serially(monkeypatch):
 
 
 def test_experiment_runner_shards_are_bit_identical():
-    workload = IsWorkload()
-    serial = ExperimentRunner(seed=7).run_spec(
-        workload, 8, ground_truth_policy()
-    )
     runner = ExperimentRunner(seed=7, shards=2)
-    sharded = runner.run_spec(workload, 8, ground_truth_policy())
+    record = runner.run_spec(IsWorkload(), 8, ground_truth_policy())
     assert runner.last_shard_fallback_reason is None
-    assert serial.result == sharded.result
-    assert serial.metric == sharded.metric
+    expected = oracle.reference(IS8.name).result
+    assert record.result == expected
+    assert record.metric == IsWorkload().metric(expected)
 
 
 def test_experiment_runner_surfaces_fallback_reason():
@@ -560,8 +443,6 @@ def test_experiment_runner_surfaces_fallback_reason():
 
     runner = ExperimentRunner(seed=7, shards=2)
     spec = PolicySpec("10", lambda: FixedQuantumPolicy(10 * US))
-    serial = ExperimentRunner(seed=7).run_spec(IsWorkload(), 4, spec)
     record = runner.run_spec(IsWorkload(), 4, spec)
-    assert runner.last_shard_fallback_reason is not None
-    assert "exceeds the minimum network latency" in runner.last_shard_fallback_reason
-    assert serial.result == record.result
+    assert oracle.WIDE in (runner.last_shard_fallback_reason or "")
+    assert record.result == oracle.reference("IS-4-10us").result
