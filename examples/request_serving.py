@@ -19,8 +19,8 @@ Run:  python examples/request_serving.py
 from repro import ExperimentRunner
 from repro.core import AdaptiveQuantumPolicy, FixedQuantumPolicy
 from repro.engine.units import MICROSECOND, MILLISECOND
+from repro.harness.artefacts import service_study, service_text
 from repro.harness.configs import PolicySpec
-from repro.harness.report import format_table, percent, service_report, times
 from repro.service import ArrivalProfile, BurstWindow, ServiceWorkload
 
 US = MICROSECOND
@@ -47,35 +47,9 @@ def main():
         PolicySpec("adaptive", lambda: AdaptiveQuantumPolicy(US, 1000 * US)),
     ]
 
-    runner = ExperimentRunner(seed=2026)
-    truth = runner.ground_truth(workload, 8)
-    stats_rows = [("truth (Q=1us)", workload.service_summary(truth.result))]
-
-    rows = []
-    for spec in policies:
-        record = runner.run_spec(workload, 8, spec)
-        row = runner.compare(workload, record)
-        stats = workload.service_summary(record.result)
-        stats_rows.append((spec.label, stats))
-        rows.append(
-            [
-                spec.label,
-                f"{stats.percentiles[99.0] / 1_000:.0f} us",
-                percent(row.accuracy_error),
-                percent(stats.slo_miss_rate),
-                times(row.speedup),
-            ]
-        )
-
-    print(
-        format_table(
-            ["quantum", "p99", "p99 error", "SLO miss", "speedup"],
-            rows,
-            f"{workload.describe()}, 8 nodes: tail latency under quantum sync",
-        )
-    )
-    print()
-    print(service_report(stats_rows))
+    study = service_study(ExperimentRunner(seed=2026), workload, 8, policies)
+    print(f"{workload.describe()}, 8 nodes: tail latency under quantum sync\n")
+    print(service_text(study))
     print(
         "\nThe open-loop feeder keeps issuing on schedule no matter how the"
         "\nservice responds, so quantum-induced delay accumulates in queues"

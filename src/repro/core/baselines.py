@@ -77,9 +77,6 @@ class SyncCostEstimate:
     sync_overhead: float
     detail: str
 
-    def speedup_vs(self, other_host_time: float) -> float:
-        return other_host_time / self.host_time
-
 
 def null_message_estimate(
     ground_truth: RunResult,

@@ -85,25 +85,6 @@ class Process:
             self.finished = True
             raise ProcessError(self.name, exc) from exc
 
-    def throw(self, exc: BaseException) -> Any:
-        """Raise *exc* inside the generator (used for failure injection)."""
-        if self.finished:
-            raise ProcessExit(self.result)
-        try:
-            return self._generator.throw(exc)
-        except StopIteration as stop:
-            self.finished = True
-            self.result = stop.value
-            raise ProcessExit(stop.value) from None
-        except BaseException as err:
-            self.finished = True
-            raise ProcessError(self.name, err) from err
-
-    def close(self) -> None:
-        """Terminate the generator early (GeneratorExit inside the body)."""
-        self.finished = True
-        self._generator.close()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "finished" if self.finished else "running"
         return f"Process({self.name!r}, {state})"

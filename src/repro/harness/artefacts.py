@@ -25,7 +25,7 @@ from repro.harness.configs import GROUND_TRUTH_LABEL, PAPER_SIZES, PolicySpec
 from repro.harness.configs import ground_truth_policy, namd_workload, nas_suite, paper_policies
 from repro.harness.configs import scaleout_configs
 from repro.harness.experiment import ExperimentRunner
-from repro.harness.report import format_table, microseconds, percent, times
+from repro.harness.report import format_table, microseconds, percent, service_report, times
 from repro.harness.settings import with_recovery
 from repro.metrics.accuracy import nas_aggregate_error
 from repro.metrics.pareto import ParetoPoint, distance_to_front, pareto_front
@@ -33,13 +33,14 @@ from repro.network import PAPER_NETWORK, DeliveryKind, NetworkController, Packet
 from repro.network import UniformLatencyModel
 from repro.node import HostModelParams, SamplingSchedule, SimulatedNode
 from repro.node.transport import RecoveryConfig, TransportConfig
+from repro.service import ArrivalProfile, ServiceWorkload
 from repro.workloads import EpWorkload, IsWorkload, PhaseWorkload, StreamWorkload
 
 
 @dataclass(frozen=True)
 class Claim:
     """A shape claim: a predicate over an entry's data, and the sentence of
-    the paper or of EXPERIMENTS.md that it checks."""
+    the paper, of EXPERIMENTS.md or of an example that it checks."""
 
     name: str
     quote: str
@@ -484,6 +485,40 @@ def _sampling_text(d) -> str:
     )
 
 
+def service_study(runner, workload, size, specs):
+    """Extension X2: the open-loop *workload* at *size* nodes under each
+    spec, scored against the runner's ground truth: a comparison row per
+    spec label, and every run's latency summary, the truth's first."""
+    runs = _runs(runner, [workload], (size,), specs)
+    records = [runs[workload.name, size, spec.label] for spec in specs]
+    truth = runner.ground_truth(workload, size)
+    stats = {f"{GROUND_TRUTH_LABEL} (truth)": workload.service_summary(truth.result)}
+    stats.update((r.policy_label, workload.service_summary(r.result)) for r in records)
+    return Data(size=size, truth_p99=truth.metric, stats=stats,
+                rows={r.policy_label: runner.compare(workload, r) for r in records})
+
+
+def service_text(d) -> str:
+    table = format_table(
+        ["quantum", "p99", "p99 error", "SLO miss", "speedup", "dilation"],
+        [[label, f"{row.metric:.1f}us", percent(row.accuracy_error),
+          percent(d.stats[label].slo_miss_rate), times(row.speedup, 2),
+          times(row.exec_time_ratio, 2)] for label, row in d.rows.items()],
+        f"Open-loop service at {d.size} nodes (ground truth p99 {d.truth_p99:.1f}us)",
+    )
+    return f"{table}\n\n{service_report(d.stats.items())}"
+
+
+def _service(runner, sizes):
+    """X2 on ``repro-cluster service``'s default workload."""
+    profile = ArrivalProfile(rate_per_sec=20_000.0, num_requests=2_000)
+    return service_study(runner, ServiceWorkload(profile=profile), 8, paper_policies())
+
+
+def _adaptive_errors(d) -> list[float]:
+    return [row.accuracy_error for label, row in d.rows.items() if "dyn" in label]
+
+
 # --------------------------------------------------------------------- #
 # Figure 3: one frame in a 10us quantum, on the real controller
 # --------------------------------------------------------------------- #
@@ -560,6 +595,8 @@ R1_REPAIR = "every injected drop is repaired, and retransmits grow with the loss
 R1_CLEAN = "a clean fabric: the adaptive run retransmits nothing, the 1000 µs run fires RTOs"
 SAMPLING_ALONE = "sampling alone (Q = 1 µs) | 1.0x — useless: the barrier is 99 % of cost"
 X1 = "the techniques are complementary exactly as §7 predicts"
+X2_ADAPTIVE = '"the adaptive quantum tracks the true percentiles to within a fraction of a percent"'
+X2_FIXED = '"A large fixed quantum ... dilating p99 by orders of magnitude"'
 
 
 ARTEFACTS: tuple[Artefact, ...] = (
@@ -797,5 +834,20 @@ ARTEFACTS: tuple[Artefact, ...] = (
         Claim("aligned_beats_staggered", "per-node sampling schedules must be *aligned*",
               lambda d: d.runs["adaptive", "sampled"].host_time
               < d.runs["adaptive", "staggered"].host_time),
+    )),
+    Artefact("x2_service", _service, service_text, claims=(
+        Claim("adaptive_p99_error_under_5pct", X2_ADAPTIVE,
+              lambda d: max(_adaptive_errors(d)) <= 0.05),
+        Claim("adaptive_p99_error_under_1pct", X2_ADAPTIVE,
+              lambda d: max(_adaptive_errors(d)) < 0.01),
+        Claim("q1000_error_at_least_adaptive", X2_FIXED,
+              lambda d: d.rows["1k"].accuracy_error >= max(_adaptive_errors(d))),
+        Claim("q1000_p99_over_100x_truth", X2_FIXED,
+              lambda d: d.rows["1k"].metric > 100 * d.truth_p99),
+        Claim("fixed_quanta_miss_slo_over_95pct",
+              '"the fixed quanta miss the SLO on nearly every request"',
+              lambda d: all(d.stats[label].slo_miss_rate > 0.95 for label in ("10", "100", "1k"))),
+        Claim("adaptive_faster_than_truth", '"and still runs faster than the ground truth"',
+              lambda d: all(d.rows[label].speedup > 1 for label in DYN)),
     )),
 )

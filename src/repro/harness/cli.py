@@ -24,8 +24,8 @@ from pathlib import Path
 
 from repro.engine.units import MILLISECOND
 from repro.faults.plan import PRESETS, load_plan
-from repro.harness.artefacts import ARTEFACTS
-from repro.harness.configs import GROUND_TRUTH_LABEL
+from repro.harness.artefacts import ARTEFACTS, service_study, service_text
+from repro.harness.configs import GROUND_TRUTH_LABEL, paper_policies
 from repro.harness.experiment import ExperimentRecord
 from repro.harness.parallel import ParallelRunner
 from repro.harness.settings import RunnerSettings, with_recovery
@@ -33,6 +33,7 @@ from repro.harness.supervise import RunTimeout
 from repro.obs.collector import TraceConfig, run_slug
 from repro.obs.diff import diff_traces
 from repro.obs.export import write_chrome_trace, write_jsonl
+from repro.service import ArrivalProfile, BurstWindow, ServiceWorkload
 
 #: The artefact subcommands: name -> (help, default ``--case`` when the
 #: entries printed by the subcommand have cases).
@@ -243,9 +244,7 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_burst(spec: str):
-    from repro.service import BurstWindow
-
+def _parse_burst(spec: str) -> BurstWindow:
     try:
         start_ms, end_ms, factor = spec.split(":")
         return BurstWindow(
@@ -257,6 +256,27 @@ def _parse_burst(spec: str):
         raise SystemExit(
             f"invalid --burst {spec!r} (expected START_MS:END_MS:FACTOR): {error}"
         ) from error
+
+
+def _service_workload(args: argparse.Namespace) -> ServiceWorkload:
+    """The ``service`` subcommand's workload, from its flags."""
+    try:
+        weights = tuple(int(part) for part in args.tiers.split(":"))
+    except ValueError as error:
+        raise SystemExit(f"invalid --tiers {args.tiers!r}: {error}") from error
+    profile = ArrivalProfile(
+        rate_per_sec=args.rate,
+        num_requests=args.requests,
+        diurnal_amplitude=args.diurnal_amplitude,
+        diurnal_period=int(args.diurnal_period_ms * MILLISECOND),
+        bursts=tuple(_parse_burst(spec) for spec in args.burst),
+    )
+    return ServiceWorkload(
+        profile=profile,
+        tier_weights=weights,
+        fanout=args.fanout,
+        slo_ns=int(args.slo_us * 1000),
+    )
 
 
 def _export_traces(
@@ -403,60 +423,9 @@ def _execute(args: argparse.Namespace) -> int:
         print(entry.text(runner, tuple(getattr(args, "sizes", ()))))
 
     if args.command == "service":
-        from repro.harness.configs import paper_policies
-        from repro.harness.report import (
-            format_table,
-            percent,
-            service_report,
-            times,
-        )
-        from repro.service import ArrivalProfile, ServiceWorkload
-
-        try:
-            weights = tuple(int(part) for part in args.tiers.split(":"))
-        except ValueError as error:
-            raise SystemExit(f"invalid --tiers {args.tiers!r}: {error}") from error
-        profile = ArrivalProfile(
-            rate_per_sec=args.rate,
-            num_requests=args.requests,
-            diurnal_amplitude=args.diurnal_amplitude,
-            diurnal_period=int(args.diurnal_period_ms * MILLISECOND),
-            bursts=tuple(_parse_burst(spec) for spec in args.burst),
-        )
-        workload = ServiceWorkload(
-            profile=profile,
-            tier_weights=weights,
-            fanout=args.fanout,
-            slo_ns=int(args.slo_us * 1000),
-        )
+        workload = _service_workload(args)
         print(f"[service] {workload.describe()}", file=sys.stderr)
-        truth = runner.ground_truth(workload, args.size)
-        stats_rows = [
-            (f"{GROUND_TRUTH_LABEL} (truth)", workload.service_summary(truth.result))
-        ]
-        rows = []
-        for spec in paper_policies():
-            record = runner.run_spec(workload, args.size, spec)
-            row = runner.compare(workload, record)
-            stats = workload.service_summary(record.result)
-            stats_rows.append((spec.label, stats))
-            rows.append([
-                spec.label,
-                f"{row.metric:.1f}us",
-                percent(row.accuracy_error),
-                percent(stats.slo_miss_rate),
-                times(row.speedup, 2),
-                times(row.exec_time_ratio, 2),
-            ])
-        truth_p = workload.metric(truth.result)
-        print(format_table(
-            ["quantum", "p99", "p99 error", "SLO miss", "speedup", "dilation"],
-            rows,
-            f"Open-loop service at {args.size} nodes "
-            f"(ground truth p99 {truth_p:.1f}us)",
-        ))
-        print()
-        print(service_report(stats_rows))
+        print(service_text(service_study(runner, workload, args.size, paper_policies())))
 
     if args.trace_dir is not None and traced:
         _export_traces(traced, args.trace_dir, args.trace_format)

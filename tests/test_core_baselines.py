@@ -77,11 +77,6 @@ class TestNullMessageEstimate:
         long = null_message_estimate(truth, 2, lookahead=10 * US)
         assert long.sync_overhead == pytest.approx(short.sync_overhead / 10)
 
-    def test_speedup_helper(self):
-        truth = ground_truth(PingPongWorkload(rounds=5), 2)
-        estimate = null_message_estimate(truth, 2, lookahead=US)
-        assert estimate.speedup_vs(2 * estimate.host_time) == pytest.approx(2.0)
-
     def test_validation(self):
         truth = ground_truth(PingPongWorkload(rounds=5), 2)
         with pytest.raises(ValueError):

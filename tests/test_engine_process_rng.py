@@ -55,31 +55,6 @@ class TestProcess:
         assert "failing" in str(exc_info.value)
         assert isinstance(exc_info.value.cause, RuntimeError)
 
-    def test_throw_injects_failure(self):
-        seen = []
-
-        def body():
-            try:
-                yield "waiting"
-            except ConnectionError:
-                seen.append("caught")
-                yield "recovered"
-
-        process = Process(body())
-        process.step()
-        assert process.throw(ConnectionError()) == "recovered"
-        assert seen == ["caught"]
-
-    def test_close_terminates(self):
-        def body():
-            yield 1
-            yield 2
-
-        process = Process(body())
-        process.step()
-        process.close()
-        assert process.finished
-
 
 class TestRngStreams:
     def test_same_name_same_object(self):

@@ -189,6 +189,13 @@ def test_subcommand_prints_its_committed_artefact(capsys):
     assert capsys.readouterr().out == (OUT / "ablation_transport.txt").read_text()
 
 
+def test_service_prints_its_committed_artefact(capsys):
+    """``service`` builds its workload from its flags; with their defaults
+    it is the ``x2_service`` entry, byte for byte."""
+    assert cli.main(["service", "-j", "1", "--no-cache"]) == 0
+    assert capsys.readouterr().out == (OUT / "x2_service.txt").read_text()
+
+
 def test_one_entry_per_committed_artefact():
     assert sorted(entry.name for entry in ARTEFACTS) == sorted(
         path.stem for path in OUT.glob("*.txt")
@@ -198,7 +205,7 @@ def test_one_entry_per_committed_artefact():
         assert len(names) == len(set(names)), entry.name
         assert all(claim.quote.strip() for claim in entry.claims), entry.name
     # The shape assertions the per-figure benchmark files used to make.
-    assert sum(len(entry.claims) for entry in ARTEFACTS) == 92
+    assert sum(len(entry.claims) for entry in ARTEFACTS) == 98
 
 
 def test_artefact_subcommands_come_from_the_list():
